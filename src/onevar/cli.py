@@ -10,6 +10,7 @@ flags and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -72,6 +73,8 @@ def _classes(names: str) -> tuple[FactorClass, ...]:
 def _budget(args) -> SearchBudget:
     if args.max_worlds < 1:
         raise ValueError("--max-worlds must be at least 1")
+    if args.max_valuations < 1:
+        raise ValueError("--max-valuations must be at least 1")
     per_factor = None
     if getattr(args, "per_factor_worlds", None):
         per_factor = tuple(int(x) for x in args.per_factor_worlds.split(","))
@@ -203,13 +206,8 @@ def cmd_suite(args) -> int:
     else:
         corpus = list(DEFAULT_SUITE_CORPUS)
     budget = _budget(args)
-    reduction_budget = SearchBudget(
-        max_worlds_per_factor=args.max_worlds,
-        per_factor_max=(args.reduction_worlds, 1),
-        max_valuations=args.max_valuations,
-        exhaustive=args.exhaustive,
-        time_limit=args.time_limit,
-        seed=args.seed)
+    reduction_budget = dataclasses.replace(
+        budget, per_factor_max=(args.reduction_worlds, 1))
     report = differential_suite(corpus, classes, budget, reduction_budget,
                                 store, _variant(args, args.k_mode),
                                 k_mode=args.k_mode)

@@ -15,7 +15,7 @@ interned DAG; ``tree_size`` is a number, never a materialized tree.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 BOT = "bot"
 VAR = "var"
@@ -47,7 +47,7 @@ class Formula:
     """
 
     __slots__ = ("kind", "idx", "children", "uid", "depth", "tree_size",
-                 "var_set", "_dag_size")
+                 "var_set", "_postorder")
 
     kind: str
     idx: int          # variable index for VAR, modality for BOX, 0 otherwise
@@ -106,7 +106,7 @@ class FormulaStore:
             node.var_set = frozenset().union(*(c.var_set for c in children))
         else:
             node.var_set = frozenset()
-        node._dag_size = 0  # computed lazily by dag_size()
+        node._postorder = None  # computed lazily by postorder()
         self._table[key] = node
         self._nodes.append(node)
         return node
@@ -168,40 +168,47 @@ def variables(f: Formula) -> frozenset:
     return f.var_set
 
 
+def postorder(f: Formula) -> tuple[Formula, ...]:
+    """Every distinct node reachable from ``f``, children before parents.
+
+    Children are visited left to right and each node appears once, at its
+    first visit, so the order is the one a recursive depth-first walk would
+    produce; ``f`` itself comes last.  The walk is iterative (deep formulas
+    do not hit the recursion limit) and its result is cached on ``f``.
+    """
+    order = f._postorder
+    if order is None:
+        out: list[Formula] = []
+        seen = {f.uid}
+        stack = [(f, iter(f.children))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if child.uid not in seen:
+                    seen.add(child.uid)
+                    stack.append((child, iter(child.children)))
+                    break
+            else:
+                stack.pop()
+                out.append(node)
+        order = f._postorder = tuple(out)
+    return order
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All distinct subformulas of ``f`` (each interned node once)."""
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node.uid in seen:
-            continue
-        seen.add(node.uid)
-        yield node
-        stack.extend(node.children)
+    """All distinct subformulas of ``f`` (each interned node once), children
+    before parents."""
+    return iter(postorder(f))
 
 
 def dag_size(f: Formula) -> int:
     """Number of distinct interned nodes reachable from ``f``."""
-    if f._dag_size:
-        return f._dag_size
-    count = sum(1 for _ in subformulas(f))
-    f._dag_size = count
-    return count
+    return len(postorder(f))
 
 
 def sizes(f: Formula) -> tuple[int, int]:
     """``(tree_size, dag_size)`` of ``f``."""
     return f.tree_size, dag_size(f)
-
-
-def max_modality(f: Formula) -> int:
-    """Largest box index occurring in ``f`` (0 if none)."""
-    best = 0
-    for node in subformulas(f):
-        if node.kind == BOX and node.idx > best:
-            best = node.idx
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +227,35 @@ def composite_dia(store: FormulaStore, f: Formula) -> Formula:
     return store.dia(1, store.and_(store.not_(p), inner))
 
 
-def box_upto(store: FormulaStore, n: int, k: int, f: Formula) -> Formula:
-    """``f`` holds everywhere within ``k`` steps along any of the ``n`` modalities.
+def box_upto(store: FormulaStore, dims: Collection[int], k: int,
+             f: Formula) -> Formula:
+    """``f`` holds everywhere within ``k`` steps along the modalities ``dims``.
 
-    Level 0 is ``f`` itself; each level conjoins the previous one with its
-    image under every box.  The interned form shares all levels, so the DAG
-    grows linearly in ``n * k`` while the expanded tree grows like ``(n+1)^k``.
+    ``dims`` is a set of 1-based modality indices, as in
+    :func:`onevar.kripke.bounded_reach`: ``1..n`` quantifies over every
+    modality, ``2..n`` over those that keep the first coordinate.  Level 0 is
+    ``f`` itself; each level conjoins the previous one with its image under
+    every box in ``dims``, in increasing index order.  The interned form
+    shares all levels, so the DAG grows linearly in ``len(dims) * k`` while
+    the expanded tree grows like ``(len(dims)+1)^k``.  With ``k == 0`` or no
+    dims the result is ``f``.
     """
-    if n < 1:
-        raise ValueError("arity must be >= 1")
     if k < 0:
         raise ValueError("level must be >= 0")
+    boxes = sorted(set(dims))
     g = f
     for _ in range(k):
-        g = store.conj([g] + [store.box(i, g) for i in range(1, n + 1)])
+        g = store.conj([g] + [store.box(i, g) for i in boxes])
     return g
 
 
-def dia_upto(store: FormulaStore, n: int, k: int, f: Formula) -> Formula:
-    """``f`` holds somewhere within ``k`` steps along any modality."""
-    if k == 0:
+def dia_upto(store: FormulaStore, dims: Collection[int], k: int,
+             f: Formula) -> Formula:
+    """Dual of :func:`box_upto`: ``f`` holds somewhere within ``k`` steps
+    along ``dims``."""
+    if k == 0 or not dims:
         return f
-    return store.not_(box_upto(store, n, k, store.not_(f)))
-
-
-def box_upto_rest(store: FormulaStore, n: int, k: int, f: Formula) -> Formula:
-    """Like :func:`box_upto` but stepping only along modalities ``2..n``.
-
-    For ``n == 1`` the quantified set is empty and every level equals ``f``.
-    """
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    g = f
-    for _ in range(k):
-        g = store.conj([g] + [store.box(i, g) for i in range(2, n + 1)])
-    return g
-
-
-def dia_upto_rest(store: FormulaStore, n: int, k: int, f: Formula) -> Formula:
-    """Dual of :func:`box_upto_rest`."""
-    if k == 0 or n == 1:
-        return f
-    return store.not_(box_upto_rest(store, n, k, store.not_(f)))
+    return store.not_(box_upto(store, dims, k, store.not_(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,11 @@ def parse(text: str, arity: int, store: FormulaStore) -> Formula:
     if arity < 1:
         raise ValueError("arity must be >= 1")
     parser = _Parser(_tokenize(text), arity, store)
-    result = parser.formula()
+    try:
+        result = parser.formula()
+    except RecursionError:
+        position = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ParseError("formula nested too deeply", position) from None
     kind, _, pos = parser.peek()
     if kind != _TOK_END:
         raise ParseError("trailing input", pos)
@@ -448,43 +444,37 @@ def render(f: Formula) -> str:
     same node.
     """
     memo: dict[int, str] = {}
-    return _render(f, memo)
-
-
-def _render(f: Formula, memo: dict[int, str]) -> str:
-    cached = memo.get(f.uid)
-    if cached is not None:
-        return cached
-    kind = f.kind
-    if kind == BOT:
-        text = "F"
-    elif kind == VAR:
-        text = "p" if f.idx == 0 else f"p{f.idx}"
-    elif kind == BOX:
-        body = f.children[0]
-        inner = _render(body, memo)
-        if _PREC[body.kind] < _PREC[BOX]:
-            inner = f"({inner})"
-        text = f"[{f.idx}]{inner}"
-    else:
-        prec = _PREC[kind]
-        left, right = f.children
-        ltext = _render(left, memo)
-        rtext = _render(right, memo)
-        if kind == IMP:
-            # right-associative: parenthesize the left child at equal level
-            if _PREC[left.kind] <= prec:
-                ltext = f"({ltext})"
+    for node in postorder(f):
+        kind = node.kind
+        if kind == BOT:
+            text = "F"
+        elif kind == VAR:
+            text = "p" if node.idx == 0 else f"p{node.idx}"
+        elif kind == BOX:
+            body = node.children[0]
+            inner = memo[body.uid]
+            if _PREC[body.kind] < _PREC[BOX]:
+                inner = f"({inner})"
+            text = f"[{node.idx}]{inner}"
         else:
-            # left-associative: parenthesize the right child at equal level
-            if _PREC[left.kind] < prec:
-                ltext = f"({ltext})"
-            if _PREC[right.kind] <= prec:
-                rtext = f"({rtext})"
-        op = {AND: "&", OR: "|", IMP: "->"}[kind]
-        text = f"{ltext} {op} {rtext}"
-    memo[f.uid] = text
-    return text
+            prec = _PREC[kind]
+            left, right = node.children
+            ltext = memo[left.uid]
+            rtext = memo[right.uid]
+            if kind == IMP:
+                # right-associative: parenthesize the left child at equal level
+                if _PREC[left.kind] <= prec:
+                    ltext = f"({ltext})"
+            else:
+                # left-associative: parenthesize the right child at equal level
+                if _PREC[left.kind] < prec:
+                    ltext = f"({ltext})"
+                if _PREC[right.kind] <= prec:
+                    rtext = f"({rtext})"
+            op = {AND: "&", OR: "|", IMP: "->"}[kind]
+            text = f"{ltext} {op} {rtext}"
+        memo[node.uid] = text
+    return memo[f.uid]
 
 
 def dag_listing(f: Formula) -> list[dict]:
@@ -494,22 +484,11 @@ def dag_listing(f: Formula) -> list[dict]:
     local ids, so the listing is stable across stores for structurally equal
     formulas.  The last entry is the root.
     """
-    order: list[Formula] = []
-    seen: set[int] = set()
-
-    def walk(node: Formula) -> None:
-        if node.uid in seen:
-            return
-        seen.add(node.uid)
-        for child in node.children:
-            walk(child)
-        order.append(node)
-
-    walk(f)
+    order = postorder(f)
     local = {node.uid: i for i, node in enumerate(order)}
     out = []
-    for node in order:
-        entry: dict = {"id": local[node.uid], "kind": node.kind}
+    for i, node in enumerate(order):
+        entry: dict = {"id": i, "kind": node.kind}
         if node.kind == VAR:
             entry["index"] = node.idx
         elif node.kind == BOX:

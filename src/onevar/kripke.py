@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, Formula,
-                             ModalityError)
+                             ModalityError, postorder)
 
 
 class ModelFormatError(ValueError):
@@ -92,9 +92,11 @@ class Frame1:
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad frame description: {exc}") from exc
         labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, Mapping):
+            raise ModelFormatError("frame labels must map names to worlds")
         try:
             return cls(worlds, edges, labels)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ModelFormatError(str(exc)) from exc
 
 
@@ -181,11 +183,6 @@ class NFrame:
         self.tags = tuple(tags) if tags is not None else None
         self._succ_masks: tuple[tuple[int, ...], ...] | None = None
 
-    def edges(self, modality: int) -> tuple[tuple[int, int], ...]:
-        """Sorted edge set of relation ``modality`` (1-based)."""
-        table = self.succs[modality - 1]
-        return tuple((a, b) for a in range(self.worlds) for b in table[a])
-
     def succ_masks(self) -> tuple[tuple[int, ...], ...]:
         if self._succ_masks is None:
             masks = []
@@ -204,26 +201,58 @@ class NFrame:
         return f"NFrame(arity={self.arity}, worlds={self.worlds})"
 
 
+class CoordinateCodec:
+    """Row-major mixed-radix numbering of product worlds.
+
+    World ``w`` of a product over factors of ``sizes`` worlds is the ``w``-th
+    coordinate tuple in lexicographic order: the last coordinate varies
+    fastest, and moving coordinate ``i`` by one moves the world index by
+    ``strides[i]``.  Enumeration order (and with it first-found
+    countermodels) rests on this numbering.
+    """
+
+    __slots__ = ("sizes", "strides", "worlds")
+
+    def __init__(self, sizes: Iterable[int]):
+        self.sizes = tuple(sizes)
+        strides = []
+        worlds = 1
+        for size in reversed(self.sizes):
+            strides.append(worlds)
+            worlds *= size
+        self.strides = tuple(reversed(strides))
+        self.worlds = worlds
+
+    def index(self, coords: Sequence[int]) -> int:
+        """World index of a coordinate tuple; rejects tuples outside the
+        product."""
+        coords = tuple(coords)
+        if len(coords) != len(self.sizes):
+            raise ValueError("coordinate arity mismatch")
+        idx = 0
+        for c, size in zip(coords, self.sizes):
+            if not 0 <= c < size:
+                raise ValueError(f"coordinate {coords} outside factors")
+            idx = idx * size + c
+        return idx
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """Every coordinate tuple, in world order."""
+        return list(itertools.product(*(range(s) for s in self.sizes)))
+
+
 def product(factors: Sequence[Frame1]) -> NFrame:
     """Product frame: worlds are coordinate tuples, relation ``i`` moves
     exactly coordinate ``i`` along the i-th factor's relation."""
     if not factors:
         raise ValueError("a product needs at least one factor")
-    sizes = [f.worlds for f in factors]
-    tags = list(itertools.product(*(range(s) for s in sizes)))
-    index = {t: i for i, t in enumerate(tags)}
-    n = len(factors)
-    worlds = len(tags)
-    succs: list[list[list[int]]] = [[[] for _ in range(worlds)] for _ in range(n)]
-    for w, coords in enumerate(tags):
-        for i, factor in enumerate(factors):
-            base = coords[i]
-            row = succs[i][w]
-            for y in factor.succ[base]:
-                moved = list(coords)
-                moved[i] = y
-                row.append(index[tuple(moved)])
-    return NFrame(n, worlds, succs, tags)
+    codec = CoordinateCodec(f.worlds for f in factors)
+    tags = codec.tuples()
+    succs = [[[w + (y - coords[i]) * stride for y in factor.succ[coords[i]]]
+              for w, coords in enumerate(tags)]
+             for i, (factor, stride) in enumerate(zip(factors,
+                                                      codec.strides))]
+    return NFrame(len(factors), codec.worlds, succs, tags)
 
 
 def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
@@ -235,27 +264,24 @@ def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("cannot restrict to an empty world set")
+    if not isinstance(frame, (Frame1, NFrame)):
+        raise TypeError(f"cannot restrict {type(frame).__name__}")
+    if any(not 0 <= w < frame.worlds for w in kept):
+        raise ValueError("keep set mentions missing worlds")
+    remap = {old: new for new, old in enumerate(kept)}
+
+    def sub(table: Sequence[Sequence[int]]) -> list[list[int]]:
+        return [[remap[y] for y in table[old] if y in remap] for old in kept]
+
     if isinstance(frame, Frame1):
-        if any(not 0 <= w < frame.worlds for w in kept):
-            raise ValueError("keep set mentions missing worlds")
-        remap = {old: new for new, old in enumerate(kept)}
-        edges = [(remap[a], remap[b]) for a, b in frame.edges
-                 if a in remap and b in remap]
+        edges = [(a, b) for a, row in enumerate(sub(frame.succ)) for b in row]
         labels = {name: remap[w] for name, w in frame.labels.items()
                   if w in remap}
         return Frame1(len(kept), edges, labels)
-    if isinstance(frame, NFrame):
-        if any(not 0 <= w < frame.worlds for w in kept):
-            raise ValueError("keep set mentions missing worlds")
-        remap = {old: new for new, old in enumerate(kept)}
-        succs = [[[remap[y] for y in table[old] if y in remap]
-                  for old in kept]
-                 for table in frame.succs]
-        tags = None
-        if frame.tags is not None:
-            tags = [frame.tags[old] for old in kept]
-        return NFrame(frame.arity, len(kept), succs, tags)
-    raise TypeError(f"cannot restrict {type(frame).__name__}")
+    tags = None
+    if frame.tags is not None:
+        tags = [frame.tags[old] for old in kept]
+    return NFrame(frame.arity, len(kept), [sub(t) for t in frame.succs], tags)
 
 
 class ProductModel:
@@ -294,17 +320,9 @@ class ProductModel:
     # -- coordinate helpers -------------------------------------------------
 
     def index_of(self, coords: Sequence[int]) -> int:
-        coords = tuple(coords)
         if self.frame.tags is None:
             raise ValueError("model frame carries no coordinate tags")
-        if len(coords) != len(self.factors):
-            raise ValueError("coordinate arity mismatch")
-        idx = 0
-        for c, factor in zip(coords, self.factors):
-            if not 0 <= c < factor.worlds:
-                raise ValueError(f"coordinate {coords} outside factors")
-            idx = idx * factor.worlds + c
-        return idx
+        return CoordinateCodec(f.worlds for f in self.factors).index(coords)
 
     def coords_of(self, world: int) -> tuple[int, ...]:
         if self.frame.tags is None:
@@ -317,22 +335,10 @@ class ProductModel:
                     point: Sequence[int]) -> "ProductModel":
         """Build a model giving the valuation and point by coordinate tuples."""
         frame = product(factors)
-        sizes = [f.worlds for f in factors]
-
-        def index(coords: Sequence[int]) -> int:
-            coords = tuple(coords)
-            if len(coords) != len(sizes):
-                raise ValueError("coordinate arity mismatch")
-            idx = 0
-            for c, s in zip(coords, sizes):
-                if not 0 <= c < s:
-                    raise ValueError(f"coordinate {coords} outside factors")
-                idx = idx * s + c
-            return idx
-
-        val = {var: [index(c) for c in coords_list]
+        codec = CoordinateCodec(f.worlds for f in factors)
+        val = {var: [codec.index(c) for c in coords_list]
                for var, coords_list in valuation.items()}
-        return cls(factors, val, index(point), frame)
+        return cls(factors, val, codec.index(point), frame)
 
     def with_valuation(self, valuation: Mapping[int, Iterable[int]]
                        ) -> "ProductModel":
@@ -369,9 +375,12 @@ class ProductModel:
         try:
             factors = [Frame1.from_json(fdoc) for fdoc in doc["factors"]]
             raw_val = doc.get("valuation", {})
-            point = doc["point"]
+            point = _coords(doc["point"])
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"bad model description: {exc}") from exc
+        if not isinstance(raw_val, Mapping):
+            raise ModelFormatError("bad model description: the valuation "
+                                   "must map variable names to coordinates")
         valuation: dict[int, list] = {}
         for name, coords_list in raw_val.items():
             if name == "p":
@@ -380,13 +389,24 @@ class ProductModel:
                 var = int(name[1:])
             else:
                 raise ModelFormatError(f"bad variable name {name!r}")
-            valuation[var] = [tuple(int(c) for c in coords)
-                              for coords in coords_list]
+            if not isinstance(coords_list, (list, tuple)):
+                raise ModelFormatError(
+                    f"valuation of {name!r} must be a list of coordinates")
+            valuation[var] = [_coords(coords) for coords in coords_list]
         try:
-            return cls.from_coords(factors, valuation,
-                                   tuple(int(c) for c in point))
+            return cls.from_coords(factors, valuation, point)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
+
+
+def _coords(value) -> tuple[int, ...]:
+    """A JSON coordinate list as a tuple of ints."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"coordinates must be a list, got {value!r}")
+    try:
+        return tuple(int(c) for c in value)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad coordinates {value!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +430,9 @@ def _sat_mask(model: ProductModel, f: Formula) -> int:
         return hit
     frame = model.frame
     full = (1 << frame.worlds) - 1
-    # iterative post-order over the shared DAG
-    stack: list[Formula] = [f]
-    while stack:
-        node = stack[-1]
+    for node in postorder(f):
         if node.uid in cache:
-            stack.pop()
             continue
-        pending = [c for c in node.children if c.uid not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
         kind = node.kind
         if kind == BOT:
             mask = 0
@@ -458,10 +469,6 @@ def check(model: ProductModel, world: int, f: Formula) -> bool:
     if not 0 <= world < model.frame.worlds:
         raise ValueError(f"unknown world {world}")
     return bool(_sat_mask(model, f) >> world & 1)
-
-
-def check_at_point(model: ProductModel, f: Formula) -> bool:
-    return check(model, model.point, f)
 
 
 def check_naive(model: ProductModel, world: int, f: Formula) -> bool:

@@ -18,13 +18,12 @@ reports instead of raising, so a miscalibrated variant shows up as data.
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 
 from onevar.formulas import Formula, subformulas
-from onevar.kripke import (Frame1, ProductModel, bounded_reach, check,
-                           reflexive_closure, restrict, sat_set)
+from onevar.kripke import (CoordinateCodec, Frame1, ProductModel,
+                           bounded_reach, check, reflexive_closure, restrict,
+                           sat_set)
 from onevar.translation import TranslationContext
 
 
@@ -42,35 +41,36 @@ class ExtractionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class GadgetPoint:
-    """Decoded label of one ladder point in an extended first factor."""
+    """Position of one ladder point in an extended first factor."""
 
     ladder: int   # which ladder copy (1 .. m+1)
     base: int     # the first-factor base world the copy hangs below
     role: str     # "v" or "w"
     rung: int     # position along the ladder (0 .. ladder)
 
-
-_GADGET_LABEL = re.compile(r"^([vw])(\d+)\.k(\d+)\.x(\d+)$")
-
-
-def _gadget_label(role: str, rung: int, ladder: int, base: int) -> str:
-    return f"{role}{rung}.k{ladder}.x{base}"
+    @property
+    def label(self) -> str:
+        """Output name of the point, e.g. ``v0.k1.x0``."""
+        return f"{self.role}{self.rung}.k{self.ladder}.x{self.base}"
 
 
-def gadget_points(frame: Frame1) -> dict[int, GadgetPoint]:
-    """Decode the gadget labels of a frame built by :func:`attach_gadgets`.
+def gadget_layout(base_worlds: int, m: int) -> dict[int, GadgetPoint]:
+    """World index of every ladder point :func:`attach_gadgets` adds to a
+    first factor of ``base_worlds`` worlds with variable limit ``m``.
 
-    Labels carried over from the original frame do not match the gadget
-    naming scheme and are ignored.
+    Gadget worlds follow the base worlds: one copy of each ladder length
+    ``k = 1 .. m+1`` per base world, lengths outermost, each copy laid out as
+    ``v0, w0, v1, w1, .., vk, wk``.
     """
     out: dict[int, GadgetPoint] = {}
-    for name, world in frame.labels.items():
-        match = _GADGET_LABEL.match(name)
-        if match:
-            out[world] = GadgetPoint(ladder=int(match.group(3)),
-                                     base=int(match.group(4)),
-                                     role=match.group(1),
-                                     rung=int(match.group(2)))
+    world = base_worlds
+    for k in range(1, m + 2):
+        for x in range(base_worlds):
+            for i in range(k + 1):
+                out[world] = GadgetPoint(ladder=k, base=x, role="v", rung=i)
+                out[world + 1] = GadgetPoint(ladder=k, base=x, role="w",
+                                             rung=i)
+                world += 2
     return out
 
 
@@ -83,35 +83,33 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     edge from its base world to the copy's ``v0``.  Outside K-mode the input
     must be reflexive and the result is closed under reflexivity, so the
     extended frame stays a T-frame and restricting it to the original worlds
-    gives back exactly ``f1``.
+    gives back exactly ``f1``.  The gadget points carry their
+    :attr:`GadgetPoint.label` as frame labels, for output only; code reads
+    positions from :func:`gadget_layout`.
     """
     if m < 0:
         raise ValueError("variable limit must be >= 0")
     if not k_mode and not f1.is_reflexive:
         raise PreconditionFailed(
             "the first factor must be reflexive (use k_mode for K frames)")
-    base = f1.worlds
+    layout = gadget_layout(f1.worlds, m)
     edges: list[tuple[int, int]] = list(f1.edges)
     labels = dict(f1.labels)
-    worlds = base
-    for k in range(1, m + 2):
-        for x in range(base):
-            start = worlds
-            # v_i at start + 2i, w_i at start + 2i + 1
-            for i in range(k + 1):
-                labels[_gadget_label("v", i, k, x)] = start + 2 * i
-                labels[_gadget_label("w", i, k, x)] = start + 2 * i + 1
-                edges.append((start + 2 * i, start + 2 * i + 1))
-            for i in range(k):
-                edges.append((start + 2 * i + 1, start + 2 * i + 2))
-            edges.append((x, start))  # entry edge to v0 of this copy
-            worlds += 2 * (k + 1)
+    for w, gp in layout.items():
+        labels[gp.label] = w
+        if gp.role == "v":
+            edges.append((w, w + 1))             # v_i -> w_i
+            if gp.rung == 0:
+                edges.append((gp.base, w))       # entry edge to v0
+        elif gp.rung < gp.ladder:
+            edges.append((w, w + 1))             # w_i -> v_{i+1}
+    worlds = f1.worlds + len(layout)
     if not k_mode:
         edges = list(reflexive_closure(edges, worlds))
     return Frame1(worlds, edges, labels)
 
 
-def lift_valuation(base: ProductModel, ext_f1: Frame1, m: int,
+def lift_valuation(base: ProductModel, m: int,
                    variant) -> set[tuple[int, ...]]:
     """Coordinates of the extended product where the reserved variable holds.
 
@@ -121,10 +119,9 @@ def lift_valuation(base: ProductModel, ext_f1: Frame1, m: int,
     satisfies variable ``k``.  Whether rung 0 is included is the variant's
     choice.  Base points never carry the variable.
     """
-    gadgets = gadget_points(ext_f1)
+    gadgets = gadget_layout(base.factors[0].worlds, m)
     lowest_rung = 0 if variant.mark_first_rung else 1
-    rest_sizes = [f.worlds for f in base.factors[1:]]
-    all_columns = list(itertools.product(*(range(s) for s in rest_sizes)))
+    all_columns = CoordinateCodec(f.worlds for f in base.factors[1:]).tuples()
 
     marked: set[tuple[int, ...]] = set()
     for world, gp in gadgets.items():
@@ -179,14 +176,15 @@ def build_transfer(base: ProductModel, f: Formula,
         raise PreconditionFailed("model arity differs from context arity")
     m = ctx.var_limit
     ext_f1 = attach_gadgets(base.factors[0], m, k_mode=k_mode)
-    marked = lift_valuation(base, ext_f1, m, ctx.variant)
+    marked = lift_valuation(base, m, ctx.variant)
     factors = [ext_f1, *base.factors[1:]]
     model = ProductModel.from_coords(factors, {0: marked},
                                      base.coords_of(base.point))
-    base_count = base.factors[0].worlds
+    # the original first-factor worlds come first, so their points are the
+    # leading block of the row-major numbering
+    codec = CoordinateCodec(f.worlds for f in factors)
     base_points = frozenset(
-        w for w in range(model.frame.worlds)
-        if model.coords_of(w)[0] < base_count)
+        range(base.factors[0].worlds * codec.strides[0]))
 
     refuted = not check(model, model.point, ctx.reduce(f))
     guarded = check(model, model.point, ctx.uniform_guard())
@@ -253,23 +251,21 @@ def check_marker_exactness(result: TransferResult,
                            ctx: TranslationContext) -> SurgeryReport:
     """The base marker must hold at exactly the original points.
 
-    Extra points are classified by their gadget label so a leak names the
-    ladder position responsible.
+    Extra points are classified by their gadget position so a leak names the
+    ladder point responsible.
     """
     model = result.model
     sat = sat_set(model, ctx.base_marker())
     missing = sorted(result.base_points - sat)
     extras = sorted(sat - result.base_points)
-    gadgets = gadget_points(result.extended_first_factor)
-    violations = []
-    for w in missing:
-        violations.append(("missing", model.coords_of(w)))
-    for w in extras:
-        first = model.coords_of(w)[0]
-        gp = gadgets.get(first)
-        label = (f"{gp.role}{gp.rung}.k{gp.ladder}.x{gp.base}"
-                 if gp else "base?")
-        violations.append(("extra", model.coords_of(w), label))
+    violations = [("missing", model.coords_of(w)) for w in missing]
+    if extras:
+        base_worlds = len({model.coords_of(w)[0] for w in result.base_points})
+        gadgets = gadget_layout(base_worlds, ctx.var_limit)
+        for w in extras:
+            gp = gadgets.get(model.coords_of(w)[0])
+            violations.append(("extra", model.coords_of(w),
+                               gp.label if gp else "base?"))
     return SurgeryReport("marker-exactness",
                          model.frame.worlds, tuple(violations))
 
@@ -315,8 +311,11 @@ def build_extraction(counter: ProductModel, f: Formula,
                           range(1, ctx.arity + 1))
     marked = sat_set(counter, ctx.base_marker())
     kept = sorted({counter.coords_of(w)[0] for w in reach & marked})
-    # the refuting point itself is marked and reachable in 0 steps
-    assert counter.coords_of(counter.point)[0] in kept
+    # the guard makes the refuting point marked, and it is reachable in 0
+    # steps, so its first coordinate is kept
+    if counter.coords_of(counter.point)[0] not in kept:
+        raise ExtractionFailed(
+            "the refuting point lost its first coordinate in extraction")
 
     remap = {old: new for new, old in enumerate(kept)}
     new_f1 = restrict(counter.factors[0], kept)
@@ -339,7 +338,6 @@ def build_extraction(counter: ProductModel, f: Formula,
         valuation[k] = coords_list
 
     point_coords = project(counter.coords_of(counter.point))
-    assert point_coords is not None
     model = ProductModel.from_coords(factors, valuation, point_coords)
 
     refuted = not check(model, model.point, f)

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from onevar.formulas import (Formula, FormulaStore, ModalityError, box_upto,
-                             box_upto_rest, composite_dia, dia_upto_rest,
-                             variables)
+                             composite_dia, dia_upto, variables)
 
 
 class ReservedVariableError(ValueError):
@@ -223,12 +222,13 @@ class TranslationContext:
         reachable without moving the first coordinate."""
         if self._guard is None:
             store = self.store
-            n, d = self.arity, self.depth
+            every, rest = range(1, self.arity + 1), range(2, self.arity + 1)
+            d = self.depth
             b = self.base_marker()
-            forward = box_upto(store, n, d,
-                               store.imp(b, box_upto_rest(store, n, d, b)))
-            backward = box_upto(store, n, d,
-                                store.imp(dia_upto_rest(store, n, d, b), b))
+            forward = box_upto(store, every, d,
+                               store.imp(b, box_upto(store, rest, d, b)))
+            backward = box_upto(store, every, d,
+                                store.imp(dia_upto(store, rest, d, b), b))
             self._guard = store.conj([b, forward, backward])
         return self._guard
 

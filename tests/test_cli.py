@@ -56,6 +56,22 @@ class TestTranslate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--expand",)],
+                             ids=["shared", "expanded"])
+    def test_many_variables(self, capsys, extra):
+        # p300 puts 301 nested ladder probes into the reduction
+        code, out, _ = run(capsys, "translate", "p300", *extra)
+        assert code == 0
+        assert json.loads(out)["reduction_dag"][-1]["kind"] == "imp"
+
+    @pytest.mark.parametrize("text", ["~" * 1500 + "p1",
+                                      "(" * 1500 + "p1" + ")" * 1500],
+                             ids=["negations", "parentheses"])
+    def test_deep_nesting_exits_2(self, capsys, text):
+        code, _, err = run(capsys, "translate", text)
+        assert code == 2
+        assert "nested too deeply" in err
+
     def test_shared_form_is_default(self, capsys):
         code, out, _ = run(capsys, "translate", "p1")
         doc = json.loads(out)
@@ -87,6 +103,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path), "F")
         assert code == 2
 
+    @pytest.mark.parametrize("change", [
+        {"valuation": {"p1": [5]}},
+        {"valuation": {"p1": 5}},
+        {"valuation": []},
+        {"point": 5},
+        {"point": ["x", 0]},
+        {"factors": [{"worlds": 1, "edges": [[0, 0]], "labels": [1]},
+                     {"worlds": 1, "edges": [[0, 0]]}]},
+        {"factors": [{"worlds": 1, "edges": [[0, 0]], "labels": {"a": "x"}},
+                     {"worlds": 1, "edges": [[0, 0]]}]},
+    ], ids=["coordinate-not-list", "coordinates-not-list", "valuation-list",
+            "point-int", "point-text", "labels-list", "label-text"])
+    def test_malformed_model_exits_2(self, capsys, model_file, change):
+        code, out, err = run(capsys, "check",
+                             model_file({**BOT_MODEL, **change}), "F")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestSearch:
     def test_found_exits_1(self, capsys):
@@ -106,6 +140,12 @@ class TestSearch:
     def test_zero_budget_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "p1", "--max-worlds", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_valuation_budget_exits_2(self, capsys, value):
+        code, _, err = run(capsys, "search", "p1", "--max-valuations", value)
+        assert code == 2
+        assert "--max-valuations" in err
 
     def test_deterministic_given_seed(self, capsys):
         runs = []

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
-                             box_upto, box_upto_rest, composite_dia,
-                             dag_size, dia_upto, dia_upto_rest, modal_depth,
-                             parse, render, sizes, subformulas, variables)
+                             box_upto, composite_dia, dag_listing, dag_size,
+                             dia_upto, modal_depth, parse, render, sizes,
+                             subformulas, variables)
 
 # ---------------------------------------------------------------------------
 # independent oracles: plain recursions that never touch the cached metrics
@@ -225,18 +225,19 @@ class TestMetrics:
 class TestDefinedModalities:
     def test_level_zero_is_identity(self, store):
         psi = store.var(1)
-        assert box_upto(store, 2, 0, psi) is psi
-        assert dia_upto(store, 2, 0, psi) is psi
-        assert box_upto_rest(store, 2, 0, psi) is psi
+        assert box_upto(store, (1, 2), 0, psi) is psi
+        assert dia_upto(store, (1, 2), 0, psi) is psi
+        assert box_upto(store, (2,), 0, psi) is psi
 
     def test_rest_level_one(self, store):
         psi = store.var(1)
-        assert box_upto_rest(store, 2, 1, psi) is \
+        assert box_upto(store, range(2, 3), 1, psi) is \
             store.and_(psi, store.box(2, psi))
 
     def test_rest_is_identity_for_unimodal(self, store):
         psi = store.var(1)
-        assert box_upto_rest(store, 1, 3, psi) is psi
+        assert box_upto(store, range(2, 2), 3, psi) is psi
+        assert dia_upto(store, range(2, 2), 3, psi) is psi
 
     def test_composite_dia_shape(self, store):
         p = store.var(0)
@@ -247,14 +248,14 @@ class TestDefinedModalities:
 
     def test_level_one_unfolds(self, store):
         psi = store.var(1)
-        got = box_upto(store, 2, 1, psi)
+        got = box_upto(store, (2, 1), 1, psi)
         want = store.conj([psi, store.box(1, psi), store.box(2, psi)])
         assert got is want
 
     def test_depth_adds_level(self, store):
         for psi in (store.var(1), store.box(1, store.var(2))):
             for k in range(7):
-                assert modal_depth(box_upto(store, 2, k, psi)) == \
+                assert modal_depth(box_upto(store, (1, 2), k, psi)) == \
                     k + modal_depth(psi)
 
     def test_size_growth(self, store):
@@ -262,7 +263,7 @@ class TestDefinedModalities:
         psi = store.var(0)
         prev_tree = None
         for k in range(7):
-            f = box_upto(store, 2, k, psi)
+            f = box_upto(store, (1, 2), k, psi)
             tree, dag = sizes(f)
             assert dag <= sizes(psi)[1] + 3 * k + k
             assert tree >= 3 ** k
@@ -272,4 +273,17 @@ class TestDefinedModalities:
 
     def test_negative_level_rejected(self, store):
         with pytest.raises(ValueError):
-            box_upto(store, 2, -1, store.var(1))
+            box_upto(store, (1, 2), -1, store.var(1))
+
+
+class TestDeepInput:
+    def test_walks_are_iterative(self, store):
+        # a chain far deeper than the recursion limit
+        f = store.var(1)
+        for _ in range(5000):
+            f = store.box(1, f)
+        assert dag_size(f) == 5001
+        assert len(list(subformulas(f))) == 5001
+        assert render(f) == "[1]" * 5000 + "p1"
+        assert dag_listing(f)[-1] == {"id": 5000, "kind": "box",
+                                      "modality": 1, "children": [4999]}

@@ -5,17 +5,23 @@ import random
 
 import pytest
 
-from onevar.formulas import FormulaStore, box_upto, box_upto_rest
+from onevar.formulas import FormulaStore, box_upto
 from onevar.kripke import (Frame1, ModelFormatError, ProductModel,
-                           bounded_reach, check, check_at_point, check_naive,
-                           ladder, product, reflexive_closure, restrict,
-                           sat_set, symmetric_closure, transitive_closure)
+                           bounded_reach, check, check_naive, ladder,
+                           product, reflexive_closure, restrict, sat_set,
+                           symmetric_closure, transitive_closure)
 from tests.test_formulas import random_formula
 
 
 def label_names(frame, worlds):
     inverse = {w: name for name, w in frame.labels.items()}
     return sorted(inverse[w] for w in worlds)
+
+
+def relation(frame, modality):
+    """Edge list of relation ``modality`` (1-based), read off ``succs``."""
+    table = frame.succs[modality - 1]
+    return [(a, b) for a in range(frame.worlds) for b in table[a]]
 
 
 class TestFrame1:
@@ -93,7 +99,7 @@ class TestProduct:
         one = Frame1(1, [(0, 0)])
         frame = product([one, one])
         assert frame.worlds == 1
-        assert frame.edges(1) == ((0, 0),) and frame.edges(2) == ((0, 0),)
+        assert relation(frame, 1) == [(0, 0)] == relation(frame, 2)
 
     def test_edge_counts(self):
         # count by the definition on the materialized product
@@ -101,8 +107,8 @@ class TestProduct:
         f2 = Frame1(3, [(0, 1), (1, 2), (2, 0)])
         frame = product([f1, f2])
         assert frame.worlds == 6
-        assert len(frame.edges(1)) == len(f1.edges) * 3
-        assert len(frame.edges(2)) == 2 * len(f2.edges)
+        assert len(relation(frame, 1)) == len(f1.edges) * 3
+        assert len(relation(frame, 2)) == 2 * len(f2.edges)
 
     def test_grid_adjacency(self):
         # product of a reflexive 2-chain with itself: relation 1 moves only
@@ -127,7 +133,7 @@ class TestProduct:
                 factors.append(Frame1(n, edges))
             frame = product(factors)
             for i in range(1, len(factors) + 1):
-                for a, b in frame.edges(i):
+                for a, b in relation(frame, i):
                     ca, cb = frame.tags[a], frame.tags[b]
                     for pos in range(len(factors)):
                         if pos == i - 1:
@@ -195,7 +201,7 @@ class TestTruth:
 
     def test_bottom_nowhere(self, store):
         model = ProductModel([Frame1(1, [(0, 0)])], {}, 0)
-        assert not check_at_point(model, store.bottom())
+        assert not check(model, model.point, store.bottom())
 
     def test_check_is_membership(self, store):
         frame = Frame1(2, [(0, 1)])
@@ -286,12 +292,8 @@ class TestBoundedReach:
                 0, frame)
             f = store.var(1)
             k = rng.randint(0, 3)
-            for dims, build in ((list(range(1, n_factors + 1)), box_upto),
-                                (list(range(2, n_factors + 1)),
-                                 box_upto_rest)):
-                lifted = build(store, n_factors, k, f)
-                if not dims:
-                    dims = []  # rest-dims empty in the unimodal case
+            for dims in (range(1, n_factors + 1), range(2, n_factors + 1)):
+                lifted = box_upto(store, dims, k, f)
                 sat = sat_set(model, lifted)
                 for x in range(frame.worlds):
                     reached = bounded_reach(frame, x, k, dims)

@@ -1,0 +1,36 @@
+"""Properties of the package source and of its external bindings."""
+
+import ast
+import sys
+from pathlib import Path
+
+import onevar.kripke
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_no_assert_statements():
+    # invariants raise explicit exceptions: ``python -O`` strips asserts
+    found = []
+    for path in sorted((ROOT / "src" / "onevar").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_perfbench_tracer_binds(monkeypatch):
+    # the benchmark's traced run wraps package functions by name; a rename
+    # or move of any of them must fail here, not in the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+
+    original = vars(onevar.kripke)["product"]
+    recorder = tracer.Tracer()
+    tracer.install(recorder)
+    try:
+        assert vars(onevar.kripke)["product"] is not original
+    finally:
+        recorder.unpatch()
+    assert vars(onevar.kripke)["product"] is original

@@ -2,15 +2,16 @@
 
 import pytest
 
+import onevar.surgery
 from onevar.formulas import parse
 from onevar.kripke import (Frame1, ProductModel, check, check_naive, ladder,
                            restrict, sat_set)
-from onevar.surgery import (PreconditionFailed,
+from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, attach_gadgets, build_transfer,
                             check_kept_points_marked, check_marker_agreement,
                             check_marker_exactness,
                             check_subformula_preservation,
-                            extract_countermodel, gadget_points,
+                            extract_countermodel, gadget_layout,
                             lift_valuation, transfer_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 TranslationContext, VariantConfig)
@@ -39,7 +40,7 @@ class TestAttachGadgets:
         base = REFLEXIVE_CHAIN
         m = 2
         ext = attach_gadgets(base, m)
-        gadgets = gadget_points(ext)
+        gadgets = gadget_layout(base.worlds, m)
         for x in range(base.worlds):
             succ = set(ext.succ[x])
             for k in range(1, m + 2):
@@ -50,7 +51,7 @@ class TestAttachGadgets:
 
     def test_copies_isomorphic_to_ladder(self):
         ext = attach_gadgets(REFLEXIVE_POINT, 1)
-        gadgets = gadget_points(ext)
+        gadgets = gadget_layout(REFLEXIVE_POINT.worlds, 1)
         for k in (1, 2):
             copy = sorted(w for w, gp in gadgets.items() if gp.ladder == k)
             sub = restrict(ext, copy)
@@ -70,9 +71,19 @@ class TestAttachGadgets:
 
     def test_k_mode_ladders_are_chains(self):
         ext = attach_gadgets(Frame1(1, []), 0, k_mode=True)
-        gadgets = gadget_points(ext)
+        gadgets = gadget_layout(1, 0)
         for w in gadgets:
             assert (w, w) not in set(ext.edges)
+
+    def test_labels_follow_layout(self):
+        # labels are output only, but they must name the laid-out points
+        base = Frame1(2, [(0, 0), (1, 1), (0, 1)], {"root": 0})
+        ext = attach_gadgets(base, 2)
+        layout = gadget_layout(base.worlds, 2)
+        assert ext.worlds == base.worlds + len(layout)
+        assert ext.labels == {"root": 0,
+                              **{gp.label: w for w, gp in layout.items()}}
+        assert layout[base.worlds].label == "v0.k1.x0"
 
 
 class TestLiftValuation:
@@ -82,8 +93,7 @@ class TestLiftValuation:
 
     def test_base_points_never_marked(self):
         base = self.base_model()
-        ext = attach_gadgets(base.factors[0], 1)
-        marked = lift_valuation(base, ext, 1, DEFAULT_VARIANT)
+        marked = lift_valuation(base, 1, DEFAULT_VARIANT)
         for coords in marked:
             assert coords[0] >= base.factors[0].worlds
 
@@ -91,9 +101,8 @@ class TestLiftValuation:
         # p1 false at (1, 0): no point of the ladder-1 copy over base world 1
         # carries the variable
         base = self.base_model()
-        ext = attach_gadgets(base.factors[0], 1)
-        gadgets = gadget_points(ext)
-        marked = lift_valuation(base, ext, 1, DEFAULT_VARIANT)
+        gadgets = gadget_layout(base.factors[0].worlds, 1)
+        marked = lift_valuation(base, 1, DEFAULT_VARIANT)
         for coords in marked:
             gp = gadgets[coords[0]]
             if gp.ladder == 1:
@@ -102,9 +111,8 @@ class TestLiftValuation:
     def test_top_ladder_marked_over_every_column(self):
         base = ProductModel.from_coords(
             [REFLEXIVE_POINT, REFLEXIVE_CHAIN], {}, (0, 0))
-        ext = attach_gadgets(base.factors[0], 0)
-        gadgets = gadget_points(ext)
-        marked = lift_valuation(base, ext, 0, DEFAULT_VARIANT)
+        gadgets = gadget_layout(base.factors[0].worlds, 0)
+        marked = lift_valuation(base, 0, DEFAULT_VARIANT)
         w_points = [w for w, gp in gadgets.items()
                     if gp.ladder == 1 and gp.role == "w"]
         for w in w_points:
@@ -113,11 +121,10 @@ class TestLiftValuation:
 
     def test_first_rung_follows_variant(self):
         base = self.base_model()
-        ext = attach_gadgets(base.factors[0], 1)
-        gadgets = gadget_points(ext)
-        with_rung = lift_valuation(base, ext, 1, DEFAULT_VARIANT)
+        gadgets = gadget_layout(base.factors[0].worlds, 1)
+        with_rung = lift_valuation(base, 1, DEFAULT_VARIANT)
         without = lift_valuation(
-            base, ext, 1,
+            base, 1,
             VariantConfig(mark_first_rung=False, guards=()))
         rung0 = {c for c in with_rung if gadgets[c[0]].rung == 0}
         assert rung0 and all(gadgets[c[0]].rung >= 1 for c in without)
@@ -277,6 +284,18 @@ class TestExtraction:
         u1 = result.model.coords_of(result.point)[0]
         assert u1 in extraction.kept_first_factor
 
+    def test_lost_point_raises(self, store, monkeypatch):
+        # the invariant is checked by a raise, not an assert, so it also
+        # holds under ``python -O``
+        f, ctx = make_ctx(store, "p1 -> [1]p1")
+        base = ProductModel.from_coords(
+            [REFLEXIVE_CHAIN, REFLEXIVE_POINT], {1: [(0, 0)]}, (0, 0))
+        result = transfer_countermodel(base, f, ctx)
+        monkeypatch.setattr(onevar.surgery, "bounded_reach",
+                            lambda *args: frozenset())
+        with pytest.raises(ExtractionFailed):
+            extract_countermodel(result.model, f, ctx)
+
     def test_guard_precondition_checked(self, store):
         f, ctx = make_ctx(store, "p1")
         # an arbitrary model without ladder structure cannot satisfy the guard
@@ -350,7 +369,7 @@ class TestGadgetSelectivity:
             [REFLEXIVE_CHAIN, REFLEXIVE_POINT],
             {1: [(0, 0)], 2: [(0, 0)]}, (0, 0))
         result = transfer_countermodel(base, f, ctx)
-        gadgets = gadget_points(result.extended_first_factor)
+        gadgets = gadget_layout(REFLEXIVE_CHAIN.worlds, ctx.var_limit)
         p = store.var(0)
         for k in range(1, ctx.var_limit + 2):
             hits = sat_set(result.model,
