@@ -18,8 +18,8 @@ import time
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
                              dag_listing, modal_depth, parse, render, sizes)
 from onevar.kripke import ModelFormatError, ProductModel, sat_set
-from onevar.search import (CALIBRATION_CORPUS, FactorClass,
-                           NoPassingVariant, SearchBudget,
+from onevar.search import (CALIBRATION_CORPUS, CheckerDisagreement,
+                           FactorClass, NoPassingVariant, SearchBudget,
                            calibrate_variants, differential_suite,
                            search_countermodel)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
@@ -342,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TransferFailed, ExtractionFailed, NoPassingVariant) as exc:
+    except (TransferFailed, ExtractionFailed, NoPassingVariant,
+            CheckerDisagreement) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -5,10 +5,11 @@ Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame; a
 product frames, tags every world with its tuple of factor coordinates.
 Frames, models and satisfaction sets are immutable after construction.
 
-The model checker :func:`sat_set` labels the shared formula DAG bottom-up
-using bitmask world sets.  :func:`check_naive` is an independent oracle: a
-direct recursive evaluator with no sharing and no caching, kept deliberately
-separate so the two can be differenced against each other.
+The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
+using bitmask world sets; it needs only a frame and one world mask per
+variable.  :func:`check_naive` is an independent oracle: a direct recursive
+evaluator with no sharing and no caching, kept deliberately separate so the
+two can be differenced against each other.
 """
 
 from __future__ import annotations
@@ -302,20 +303,22 @@ class ProductModel:
                  frame: NFrame | None = None):
         self.factors = tuple(factors)
         self.frame = frame if frame is not None else product(self.factors)
-        val: dict[int, frozenset[int]] = {}
+        self.valuation: dict[int, frozenset[int]] = {}
+        self._var_masks: dict[int, int] = {}
         for var, ws in valuation.items():
             ws = frozenset(int(w) for w in ws)
+            mask = 0
             for w in ws:
                 if not 0 <= w < self.frame.worlds:
                     raise ValueError(f"valuation of variable {var} mentions "
                                      f"missing world {w}")
-            val[int(var)] = ws
-        self.valuation = val
+                mask |= 1 << w
+            self.valuation[int(var)] = ws
+            self._var_masks[int(var)] = mask
         if not 0 <= point < self.frame.worlds:
             raise ValueError(f"point {point} outside worlds")
         self.point = point
         self._sat_cache: dict[int, int] = {}
-        self._var_masks: dict[int, int] = {}
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -340,17 +343,11 @@ class ProductModel:
                for var, coords_list in valuation.items()}
         return cls(factors, val, codec.index(point), frame)
 
+    # unused by the package; perfbench/tracer.py patches it by name
     def with_valuation(self, valuation: Mapping[int, Iterable[int]]
                        ) -> "ProductModel":
         """Same frame and point, new valuation (shares the built frame)."""
         return ProductModel(self.factors, valuation, self.point, self.frame)
-
-    def with_point(self, point: int) -> "ProductModel":
-        model = ProductModel(self.factors, {}, point, self.frame)
-        model.valuation = self.valuation
-        model._sat_cache = self._sat_cache
-        model._var_masks = self._var_masks
-        return model
 
     def __repr__(self) -> str:
         shape = "x".join(str(f.worlds) for f in self.factors)
@@ -413,23 +410,21 @@ def _coords(value) -> tuple[int, ...]:
 # Model checking
 # ---------------------------------------------------------------------------
 
-def _var_mask(model: ProductModel, var: int) -> int:
-    mask = model._var_masks.get(var)
-    if mask is None:
-        mask = 0
-        for w in model.valuation.get(var, ()):
-            mask |= 1 << w
-        model._var_masks[var] = mask
-    return mask
+def sat_mask(frame: NFrame, var_masks: Mapping[int, int], f: Formula,
+             cache: dict[int, int]) -> int:
+    """Worlds of ``frame`` where ``f`` holds, as a bitmask (bit ``w`` for
+    world ``w``).
 
-
-def _sat_mask(model: ProductModel, f: Formula) -> int:
-    cache = model._sat_cache
+    ``var_masks`` maps variable indices to world masks; variables without an
+    entry are false everywhere.  ``cache`` maps formula uids to masks already
+    computed under the same frame and masks, and is filled in; pass ``{}``
+    for a one-off evaluation.
+    """
     hit = cache.get(f.uid)
     if hit is not None:
         return hit
-    frame = model.frame
     full = (1 << frame.worlds) - 1
+    succ_masks = frame.succ_masks()
     for node in postorder(f):
         if node.uid in cache:
             continue
@@ -437,7 +432,7 @@ def _sat_mask(model: ProductModel, f: Formula) -> int:
         if kind == BOT:
             mask = 0
         elif kind == VAR:
-            mask = _var_mask(model, node.idx)
+            mask = var_masks.get(node.idx, 0)
         elif kind == AND:
             mask = cache[node.children[0].uid] & cache[node.children[1].uid]
         elif kind == OR:
@@ -448,11 +443,10 @@ def _sat_mask(model: ProductModel, f: Formula) -> int:
             if node.idx > frame.arity:
                 raise ModalityError(
                     f"box index {node.idx} exceeds frame arity {frame.arity}")
-            body = cache[node.children[0].uid]
-            succ_masks = frame.succ_masks()[node.idx - 1]
+            outside = full & ~cache[node.children[0].uid]
             mask = 0
-            for w in range(frame.worlds):
-                if succ_masks[w] & ~body == 0:
+            for w, succ in enumerate(succ_masks[node.idx - 1]):
+                if not succ & outside:
                     mask |= 1 << w
         cache[node.uid] = mask
     return cache[f.uid]
@@ -460,7 +454,7 @@ def _sat_mask(model: ProductModel, f: Formula) -> int:
 
 def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
     """Worlds of the model where ``f`` holds."""
-    mask = _sat_mask(model, f)
+    mask = sat_mask(model.frame, model._var_masks, f, model._sat_cache)
     return frozenset(w for w in range(model.frame.worlds) if mask >> w & 1)
 
 
@@ -468,13 +462,14 @@ def check(model: ProductModel, world: int, f: Formula) -> bool:
     """Truth of ``f`` at one world."""
     if not 0 <= world < model.frame.worlds:
         raise ValueError(f"unknown world {world}")
-    return bool(_sat_mask(model, f) >> world & 1)
+    return bool(sat_mask(model.frame, model._var_masks, f,
+                         model._sat_cache) >> world & 1)
 
 
 def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     """Independent reference evaluator: plain recursion, no sharing, no cache.
 
-    Deliberately structured differently from :func:`sat_set` (per-world
+    Deliberately structured differently from :func:`sat_mask` (per-world
     recursion instead of bottom-up labeling) so the two implementations can
     serve as oracles for each other.
     """

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from onevar.formulas import Formula, FormulaStore, parse, variables
+# sat_set is unused here; perfbench/tracer.py patches onevar.search.sat_set
 from onevar.kripke import (Frame1, ProductModel, check_naive, product,
-                           reflexive_closure, sat_set, symmetric_closure,
-                           transitive_closure)
+                           reflexive_closure, sat_mask, sat_set,
+                           symmetric_closure, transitive_closure)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, build_extraction, build_transfer,
                             check_kept_points_marked, check_marker_agreement,
@@ -166,8 +167,9 @@ def _size_vectors(arity: int, limits: list[int]) -> list[tuple[int, ...]]:
 
 
 def _valuations(n_worlds: int, var_list: list[int], budget: SearchBudget
-                ) -> tuple[Iterator[dict[int, frozenset[int]]], bool]:
-    """Yield valuations; the flag says whether the stream is exhaustive."""
+                ) -> tuple[Iterator[dict[int, int]], bool]:
+    """Yield valuations as ``{var: world mask}``; the flag says whether the
+    stream is exhaustive."""
     bits = n_worlds * len(var_list)
     if budget.exhaustive and bits > EXHAUSTIVE_VALUATION_BITS:
         raise ValueError(
@@ -175,26 +177,23 @@ def _valuations(n_worlds: int, var_list: list[int], budget: SearchBudget
             f"{EXHAUSTIVE_VALUATION_BITS}-bit cutoff; shrink the world "
             f"budget or drop --exhaustive")
     if bits <= EXHAUSTIVE_VALUATION_BITS:
-        def exhaustive() -> Iterator[dict[int, frozenset[int]]]:
+        full = (1 << n_worlds) - 1
+
+        def exhaustive() -> Iterator[dict[int, int]]:
             for assignment in range(1 << bits):
-                val = {}
-                for vi, var in enumerate(var_list):
-                    chunk = assignment >> (vi * n_worlds)
-                    val[var] = frozenset(
-                        w for w in range(n_worlds) if chunk >> w & 1)
-                yield val
+                yield {var: assignment >> (vi * n_worlds) & full
+                       for vi, var in enumerate(var_list)}
         return exhaustive(), True
 
-    def sampled() -> Iterator[dict[int, frozenset[int]]]:
+    def sampled() -> Iterator[dict[int, int]]:
         rng = random.Random(budget.seed)
         for _ in range(budget.max_valuations):
-            val = {}
-            for var in var_list:
-                bitsample = rng.getrandbits(n_worlds)
-                val[var] = frozenset(
-                    w for w in range(n_worlds) if bitsample >> w & 1)
-            yield val
+            yield {var: rng.getrandbits(n_worlds) for var in var_list}
     return sampled(), False
+
+
+class CheckerDisagreement(RuntimeError):
+    """The bitmask checker refuted a formula the naive evaluator holds true."""
 
 
 def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
@@ -202,7 +201,8 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     """Core enumeration; calls ``on_found`` with each verified countermodel.
 
     ``on_found`` returns True to stop the search.  Returns the final status
-    (ignoring finds; the caller tracks those) and statistics.
+    (ignoring finds; the caller tracks those) and statistics.  Valuations
+    are evaluated as world masks; a model is built only for a refutation.
     """
     arity = len(classes)
     limits = [budget.factor_limit(i, arity) for i in range(arity)]
@@ -234,23 +234,25 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                                                  budget)
             if not exhaustive:
                 complete = False
-            base = ProductModel(factors, {}, 0, frame)
-            for val in valuations:
+            full = (1 << frame.worlds) - 1
+            for masks in valuations:
                 stats["models-checked"] += 1
-                model = base.with_valuation(val)
-                sat = sat_set(model, f)
-                if len(sat) == frame.worlds:
-                    continue
-                refuting = min(set(range(frame.worlds)) - sat)
-                witness = model.with_point(refuting)
-                # a returned countermodel is never unverified
-                if check_naive(witness, refuting, f):
-                    raise AssertionError(
-                        "bitmask checker and naive evaluator disagree")
-                if on_found(witness):
-                    return FOUND, stats
-            if deadline is not None and time.monotonic() > deadline:
-                return BUDGET_EXHAUSTED, stats
+                refuting = full & ~sat_mask(frame, masks, f, {})
+                if refuting:
+                    point = (refuting & -refuting).bit_length() - 1
+                    witness = ProductModel(
+                        factors,
+                        {var: [w for w in range(frame.worlds) if mask >> w & 1]
+                         for var, mask in masks.items()},
+                        point, frame)
+                    # a returned countermodel is never unverified
+                    if check_naive(witness, point, f):
+                        raise CheckerDisagreement(
+                            "bitmask checker and naive evaluator disagree")
+                    if on_found(witness):
+                        return FOUND, stats
+                if deadline is not None and time.monotonic() > deadline:
+                    return BUDGET_EXHAUSTED, stats
     return (NONE_WITHIN_BOUNDS if complete else BUDGET_EXHAUSTED), stats
 
 

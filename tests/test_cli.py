@@ -147,6 +147,13 @@ class TestSearch:
         assert code == 2
         assert "--max-valuations" in err
 
+    def test_checker_disagreement_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("onevar.search.check_naive", lambda *args: True)
+        code, _, err = run(capsys, "search", "p1 -> [1]p1",
+                           "--max-worlds", "2")
+        assert code == 3
+        assert "disagree" in err
+
     def test_deterministic_given_seed(self, capsys):
         runs = []
         for _ in range(2):

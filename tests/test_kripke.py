@@ -4,12 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onevar.formulas import FormulaStore, box_upto
 from onevar.kripke import (Frame1, ModelFormatError, ProductModel,
                            bounded_reach, check, check_naive, ladder,
-                           product, reflexive_closure, restrict, sat_set,
-                           symmetric_closure, transitive_closure)
+                           product, reflexive_closure, restrict, sat_mask,
+                           sat_set, symmetric_closure, transitive_closure)
 from tests.test_formulas import random_formula
 
 
@@ -247,6 +248,31 @@ class TestDifferential:
             sat = sat_set(model, f)
             for w in range(frame.worlds):
                 assert (w in sat) == check_naive(model, w, f)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_sat_mask_agrees_with_naive(self, data):
+        # the search's entry point: world masks in, no model; the model
+        # built from the same masks is how a witness reaches check_naive
+        arity = data.draw(st.integers(1, 2))
+        factors = []
+        for _ in range(arity):
+            n = data.draw(st.integers(1, 3))
+            cells = [(a, b) for a in range(n) for b in range(n)]
+            edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+            factors.append(Frame1(n, edges))
+        frame = product(factors)
+        masks = {v: data.draw(st.integers(0, (1 << frame.worlds) - 1))
+                 for v in range(1, 4)}
+        store = FormulaStore()
+        f = random_formula(store, random.Random(data.draw(st.integers())),
+                           arity=arity)
+        mask = sat_mask(frame, masks, f, {})
+        model = ProductModel(
+            factors, {v: [w for w in range(frame.worlds) if m >> w & 1]
+                      for v, m in masks.items()}, 0, frame)
+        for w in range(frame.worlds):
+            assert bool(mask >> w & 1) == check_naive(model, w, f)
 
 
 class TestBoundedReach:

@@ -131,6 +131,48 @@ class TestSearch:
             out = search_countermodel(f, TT, budget)
             assert out.status == "none-within-bounds", text
 
+    def test_time_limit_holds_inside_one_frame(self, store):
+        # one 1x1 frame, 2**16 valuations: the deadline must cut the sweep
+        conj = " & ".join(f"p{i}" for i in range(1, 17))
+        f = parse(f"{conj} -> p1", 2, store)
+        out = search_countermodel(
+            f, TT, SearchBudget(per_factor_max=(1, 1), time_limit=0.01))
+        assert out.status == "budget-exhausted"
+        assert out.stats["models-checked"] < 2 ** 16
+
+    def test_none_within_bounds_builds_no_model(self, store, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built without a refutation")
+        monkeypatch.setattr("onevar.search.ProductModel", refuse)
+        f = parse("[1]p1 -> p1", 2, store)
+        out = search_countermodel(f, TT, SearchBudget(max_worlds_per_factor=2))
+        assert out.status == "none-within-bounds"
+
+    def test_witness_lists_variables_false_everywhere(self, store):
+        f = parse("p1 | p2", 2, store)
+        out = search_countermodel(f, TT, SearchBudget(per_factor_max=(1, 1)))
+        assert out.model.to_json()["valuation"] == {"p1": [], "p2": []}
+
+    def test_sampled_witness_pinned(self, store):
+        # 1024 exhaustive valuations on the 1x1 frame, then 512 sampled
+        # valuations per 20-bit 1x2 frame; the values are those of the
+        # frozenset-valuation search this one replaced
+        conj = " & ".join(f"p{i}" for i in range(2, 11))
+        f = parse(f"(p1 -> [2]p1) | ({conj} & F)", 2, store)
+        out = search_countermodel(
+            f, TT, SearchBudget(per_factor_max=(1, 2), seed=3))
+        assert out.stats == {"models-checked": 1546, "frames-checked": 3}
+        reflexive = {"worlds": 1, "edges": [[0, 0]]}
+        assert out.model.to_json() == {
+            "factors": [reflexive,
+                        {"worlds": 2, "edges": [[0, 0], [0, 1], [1, 1]]}],
+            "valuation": {"p1": [[0, 0]], "p2": [[0, 1]], "p3": [[0, 0]],
+                          "p4": [[0, 1]], "p5": [[0, 1]], "p6": [[0, 0]],
+                          "p7": [[0, 1]], "p8": [],
+                          "p9": [[0, 0], [0, 1]], "p10": [[0, 0]]},
+            "point": [0, 0],
+        }
+
     def test_find_all_collects_every_model(self, store):
         f = parse("p1", 2, store)
         found, status = find_all_countermodels(
