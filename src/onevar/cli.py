@@ -75,6 +75,9 @@ def _budget(args) -> SearchBudget:
         raise ValueError("--max-worlds must be at least 1")
     if args.max_valuations < 1:
         raise ValueError("--max-valuations must be at least 1")
+    if args.time_limit is not None and not args.time_limit >= 0:
+        # NaN fails every comparison and would switch the limit off
+        raise ValueError("--time-limit must be a non-negative number")
     per_factor = None
     if getattr(args, "per_factor_worlds", None):
         per_factor = tuple(int(x) for x in args.per_factor_worlds.split(","))

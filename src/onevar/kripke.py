@@ -6,10 +6,16 @@ product frames, tags every world with its tuple of factor coordinates.
 Frames, models and satisfaction sets are immutable after construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
-using bitmask world sets; it needs only a frame and one world mask per
-variable.  :func:`check_naive` is an independent oracle: a direct recursive
-evaluator with no sharing and no caching, kept deliberately separate so the
-two can be differenced against each other.
+using bitmask world sets; it needs only a frame's :class:`ShiftPlan` and one
+world mask per variable.  The plan groups each relation's edges ``w -> y`` by
+their offset ``d = y - w``, so the box step costs a few big-integer shifts
+per distinct offset instead of a loop over the worlds.  Offsets survive
+disjoint copies of a frame, so one pass over a plan tiled with
+:meth:`ShiftPlan.tiled` evaluates one valuation per copy at once (bit-sliced
+valuations, as in Biham's bitsliced DES, FSE 1997).  :func:`check_naive` is
+an independent oracle: a direct recursive evaluator with no sharing and no
+caching, kept deliberately separate so the two can be differenced against
+each other.
 """
 
 from __future__ import annotations
@@ -152,6 +158,41 @@ def ladder(k: int) -> Frame1:
     return Frame1(worlds, reflexive_closure(chain, worlds), labels)
 
 
+def repunit(step: int, count: int) -> int:
+    """``count`` one bits spaced ``step`` bits apart, the lowest at bit 0."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+class ShiftPlan:
+    """A frame's relations as edge offsets, the form :func:`sat_mask` reads.
+
+    ``steps[i]`` lists, for modality ``i + 1``, one ``(d, sources)`` pair per
+    offset ``d`` in increasing order: ``sources`` is the mask of the worlds
+    ``w`` with an edge ``w -> w + d``.
+    """
+
+    __slots__ = ("arity", "worlds", "steps")
+
+    def __init__(self, arity: int, worlds: int,
+                 steps: Sequence[Sequence[tuple[int, int]]]):
+        self.arity = arity
+        self.worlds = worlds
+        self.steps = tuple(tuple(row) for row in steps)
+
+    def tiled(self, copies: int) -> "ShiftPlan":
+        """Plan of ``copies`` disjoint copies of the frame, copy ``c`` on
+        worlds ``c*n .. c*n + n - 1`` for ``n`` worlds.
+
+        An edge keeps its offset in every copy, so each source mask is
+        repeated once per copy by multiplying it with the repunit that has
+        one bit at the start of each copy.
+        """
+        ones = repunit(self.worlds, copies)
+        return ShiftPlan(self.arity, self.worlds * copies,
+                         [[(d, sources * ones) for d, sources in row]
+                          for row in self.steps])
+
+
 class NFrame:
     """Frame with ``arity`` accessibility relations over a common world set.
 
@@ -159,7 +200,7 @@ class NFrame:
     of each world.
     """
 
-    __slots__ = ("arity", "worlds", "succs", "tags", "_succ_masks")
+    __slots__ = ("arity", "worlds", "succs", "tags", "_shift_plan")
 
     def __init__(self, arity: int, worlds: int,
                  succs: Sequence[Sequence[Sequence[int]]],
@@ -182,21 +223,21 @@ class NFrame:
                     if not 0 <= y < worlds:
                         raise ValueError(f"successor {y} out of range")
         self.tags = tuple(tags) if tags is not None else None
-        self._succ_masks: tuple[tuple[int, ...], ...] | None = None
+        self._shift_plan: ShiftPlan | None = None
 
-    def succ_masks(self) -> tuple[tuple[int, ...], ...]:
-        if self._succ_masks is None:
-            masks = []
+    def shift_plan(self) -> ShiftPlan:
+        """The frame's :class:`ShiftPlan`, built on first use."""
+        if self._shift_plan is None:
+            steps = []
             for table in self.succs:
-                row = []
-                for s in table:
-                    m = 0
-                    for y in s:
-                        m |= 1 << y
-                    row.append(m)
-                masks.append(tuple(row))
-            self._succ_masks = tuple(masks)
-        return self._succ_masks
+                sources: dict[int, int] = {}
+                for w, succ in enumerate(table):
+                    bit = 1 << w
+                    for y in succ:
+                        sources[y - w] = sources.get(y - w, 0) | bit
+                steps.append(sorted(sources.items()))
+            self._shift_plan = ShiftPlan(self.arity, self.worlds, steps)
+        return self._shift_plan
 
     def __repr__(self) -> str:
         return f"NFrame(arity={self.arity}, worlds={self.worlds})"
@@ -410,21 +451,30 @@ def _coords(value) -> tuple[int, ...]:
 # Model checking
 # ---------------------------------------------------------------------------
 
-def sat_mask(frame: NFrame, var_masks: Mapping[int, int], f: Formula,
-             cache: dict[int, int]) -> int:
+def sat_mask(frame: NFrame | ShiftPlan, var_masks: Mapping[int, int],
+             f: Formula, cache: dict[int, int]) -> int:
     """Worlds of ``frame`` where ``f`` holds, as a bitmask (bit ``w`` for
     world ``w``).
 
-    ``var_masks`` maps variable indices to world masks; variables without an
-    entry are false everywhere.  ``cache`` maps formula uids to masks already
-    computed under the same frame and masks, and is filled in; pass ``{}``
-    for a one-off evaluation.
+    ``frame`` is a frame or its :class:`ShiftPlan`, possibly tiled: over
+    ``V`` copies, bits ``v*n .. v*n + n - 1`` of every mask hold copy ``v``,
+    so one call evaluates ``V`` valuations.  ``var_masks`` maps variable
+    indices to world masks; variables without an entry are false
+    everywhere.  ``cache`` maps formula uids to masks already computed under
+    the same plan and masks, and is filled in; pass ``{}`` for a one-off
+    evaluation.
+
+    The box step reads the plan: with ``outside`` the worlds where the body
+    fails, ``[i]body`` fails at ``w`` exactly when some offset ``d`` of
+    relation ``i`` has ``w`` among its sources and ``w + d`` outside, so
+    ``[i]body = full & ~OR_d(shift(outside, d) & sources_d)``: one shift and
+    one AND per offset, whatever the number of worlds.
     """
     hit = cache.get(f.uid)
     if hit is not None:
         return hit
-    full = (1 << frame.worlds) - 1
-    succ_masks = frame.succ_masks()
+    plan = frame if isinstance(frame, ShiftPlan) else frame.shift_plan()
+    full = (1 << plan.worlds) - 1
     for node in postorder(f):
         if node.uid in cache:
             continue
@@ -440,14 +490,14 @@ def sat_mask(frame: NFrame, var_masks: Mapping[int, int], f: Formula,
         elif kind == IMP:
             mask = (~cache[node.children[0].uid] | cache[node.children[1].uid]) & full
         else:  # BOX
-            if node.idx > frame.arity:
+            if node.idx > plan.arity:
                 raise ModalityError(
-                    f"box index {node.idx} exceeds frame arity {frame.arity}")
+                    f"box index {node.idx} exceeds frame arity {plan.arity}")
             outside = full & ~cache[node.children[0].uid]
-            mask = 0
-            for w, succ in enumerate(succ_masks[node.idx - 1]):
-                if not succ & outside:
-                    mask |= 1 << w
+            failing = 0
+            for d, sources in plan.steps[node.idx - 1]:
+                failing |= (outside >> d if d >= 0 else outside << -d) & sources
+            mask = full & ~failing
         cache[node.uid] = mask
     return cache[f.uid]
 

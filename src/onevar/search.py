@@ -5,15 +5,19 @@ Everything here is deterministic given a seed.  Frames are enumerated in
 canonical adjacency order without isomorphism rejection (duplicates are
 affordable at these sizes), valuations exhaustively while the assignment
 space is at most ``2**EXHAUSTIVE_VALUATION_BITS`` and by seeded sampling
-beyond that.  Every countermodel the search returns has been re-checked with
-the independent naive evaluator, so a result is never an artifact of the
-bitmask checker.
+beyond that.  Valuations are checked in blocks of at most
+``2**BLOCK_BITS``: a block lays its valuations side by side as disjoint
+copies of the frame, one copy per valuation, and one bitmask pass over the
+tiled shift plan evaluates them all.  Every countermodel the search returns
+has been re-checked with the independent naive evaluator, so a result is
+never an artifact of the bitmask checker.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 from onevar.formulas import Formula, FormulaStore, parse, variables
 # sat_set is unused here; perfbench/tracer.py patches onevar.search.sat_set
 from onevar.kripke import (Frame1, ProductModel, check_naive, product,
-                           reflexive_closure, sat_mask, sat_set,
+                           reflexive_closure, repunit, sat_mask, sat_set,
                            symmetric_closure, transitive_closure)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, build_extraction, build_transfer,
@@ -34,6 +38,7 @@ from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VariantConfig)
 
 EXHAUSTIVE_VALUATION_BITS = 18
+BLOCK_BITS = 12  # a valuation block holds at most 2**BLOCK_BITS valuations
 
 
 class FactorClass(str, enum.Enum):
@@ -125,7 +130,9 @@ class SearchBudget:
     fits in :data:`EXHAUSTIVE_VALUATION_BITS` bits; beyond that,
     ``max_valuations`` seeded samples are drawn, unless ``exhaustive`` is
     set, in which case sampling is refused and the search raises instead of
-    silently weakening a none-within-bounds certificate.
+    silently weakening a none-within-bounds certificate.  ``time_limit``
+    (seconds) is checked before each frame and after each valuation block
+    of at most ``2**BLOCK_BITS`` valuations.
     """
 
     max_worlds_per_factor: int = 3
@@ -166,30 +173,55 @@ def _size_vectors(arity: int, limits: list[int]) -> list[tuple[int, ...]]:
     return sorted(vectors, key=lambda v: (sum(v), v))
 
 
-def _valuations(n_worlds: int, var_list: list[int], budget: SearchBudget
-                ) -> tuple[Iterator[dict[int, int]], bool]:
-    """Yield valuations as ``{var: world mask}``; the flag says whether the
-    stream is exhaustive."""
+def _exhaustive_blocks(n_worlds: int, var_list: list[int]
+                       ) -> list[tuple[int, dict[int, int]]]:
+    """Every valuation of ``var_list`` over ``n_worlds`` worlds, as blocks
+    ``(lanes, {var: block mask})``.
+
+    Assignment ``a`` gives variable ``var_list[i]`` the worlds of bits
+    ``i*n .. i*n + n - 1`` of ``a``; lane ``v`` of block ``b`` (bits
+    ``v*n .. v*n + n - 1`` of each block mask) holds assignment
+    ``b * lanes + v``, so the blocks run through the assignments in
+    increasing order.
+    """
     bits = n_worlds * len(var_list)
-    if budget.exhaustive and bits > EXHAUSTIVE_VALUATION_BITS:
-        raise ValueError(
-            f"exhaustive valuation enumeration needs {bits} bits, above the "
-            f"{EXHAUSTIVE_VALUATION_BITS}-bit cutoff; shrink the world "
-            f"budget or drop --exhaustive")
-    if bits <= EXHAUSTIVE_VALUATION_BITS:
-        full = (1 << n_worlds) - 1
+    width = min(bits, BLOCK_BITS)
+    lanes = 1 << width
+    # column[j]: one bit at the start of each lane whose assignment has bit
+    # j set; bits below ``width`` vary across lanes, the others across blocks
+    low = [(repunit(n_worlds, 1 << j) << (n_worlds << j))
+           * repunit(n_worlds << (j + 1), lanes >> (j + 1))
+           for j in range(width)]
+    ones = repunit(n_worlds, lanes)
+    blocks = []
+    for b in range(1 << (bits - width)):
+        column = low + [ones if b >> j & 1 else 0
+                        for j in range(bits - width)]
+        masks = {}
+        for i, var in enumerate(var_list):
+            mask = 0
+            for w in range(n_worlds):
+                mask |= column[i * n_worlds + w] << w
+            masks[var] = mask
+        blocks.append((lanes, masks))
+    return blocks
 
-        def exhaustive() -> Iterator[dict[int, int]]:
-            for assignment in range(1 << bits):
-                yield {var: assignment >> (vi * n_worlds) & full
-                       for vi, var in enumerate(var_list)}
-        return exhaustive(), True
 
-    def sampled() -> Iterator[dict[int, int]]:
-        rng = random.Random(budget.seed)
-        for _ in range(budget.max_valuations):
-            yield {var: rng.getrandbits(n_worlds) for var in var_list}
-    return sampled(), False
+def _sampled_blocks(n_worlds: int, var_list: list[int], budget: SearchBudget
+                    ) -> Iterator[tuple[int, dict[int, int]]]:
+    """``budget.max_valuations`` seeded valuations in blocks, laid out as in
+    :func:`_exhaustive_blocks`; each valuation draws one world mask per
+    variable, in ``var_list`` order."""
+    rng = random.Random(budget.seed)
+    left = budget.max_valuations
+    while left:
+        lanes = min(left, 1 << BLOCK_BITS)
+        masks = dict.fromkeys(var_list, 0)
+        for lane in range(lanes):
+            for var in var_list:
+                masks[var] |= rng.getrandbits(n_worlds) << lane * n_worlds
+        yield lanes, masks
+        left -= lanes
 
 
 class CheckerDisagreement(RuntimeError):
@@ -202,7 +234,9 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
 
     ``on_found`` returns True to stop the search.  Returns the final status
     (ignoring finds; the caller tracks those) and statistics.  Valuations
-    are evaluated as world masks; a model is built only for a refutation.
+    are evaluated a block at a time; a model is built only for a refutation.
+    Refutations are taken lowest valuation first and, per valuation, at the
+    lowest refuting world, as a one-valuation-at-a-time sweep meets them.
     """
     arity = len(classes)
     limits = [budget.factor_limit(i, arity) for i in range(arity)]
@@ -223,6 +257,9 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     stats = {"models-checked": 0, "frames-checked": 0}
     complete = True
     for sizes in _size_vectors(arity, limits):
+        n = math.prod(sizes)
+        shared = (_exhaustive_blocks(n, var_list)
+                  if n * len(var_list) <= EXHAUSTIVE_VALUATION_BITS else None)
         frame_lists = [enumerate_frames(cls, s)
                        for cls, s in zip(classes, sizes)]
         for factors in itertools.product(*frame_lists):
@@ -230,19 +267,26 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                 return BUDGET_EXHAUSTED, stats
             stats["frames-checked"] += 1
             frame = product(factors)
-            valuations, exhaustive = _valuations(frame.worlds, var_list,
-                                                 budget)
-            if not exhaustive:
+            if shared is None:
                 complete = False
-            full = (1 << frame.worlds) - 1
-            for masks in valuations:
-                stats["models-checked"] += 1
-                refuting = full & ~sat_mask(frame, masks, f, {})
-                if refuting:
-                    point = (refuting & -refuting).bit_length() - 1
+                blocks = _sampled_blocks(n, var_list, budget)
+            else:
+                blocks = shared
+            plan = tiled = frame.shift_plan()
+            for lanes, masks in blocks:
+                if tiled.worlds != lanes * n:
+                    tiled = plan.tiled(lanes)
+                checked = stats["models-checked"]
+                sat = sat_mask(tiled, masks, f, {})
+                refuting = ((1 << tiled.worlds) - 1) & ~sat
+                while refuting:
+                    lane, point = divmod(
+                        (refuting & -refuting).bit_length() - 1, n)
+                    first = lane * n
+                    stats["models-checked"] = checked + lane + 1
                     witness = ProductModel(
                         factors,
-                        {var: [w for w in range(frame.worlds) if mask >> w & 1]
+                        {var: [w for w in range(n) if mask >> first + w & 1]
                          for var, mask in masks.items()},
                         point, frame)
                     # a returned countermodel is never unverified
@@ -251,6 +295,8 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                             "bitmask checker and naive evaluator disagree")
                     if on_found(witness):
                         return FOUND, stats
+                    refuting &= -1 << first + n  # skip the rest of this lane
+                stats["models-checked"] = checked + lanes
                 if deadline is not None and time.monotonic() > deadline:
                     return BUDGET_EXHAUSTED, stats
     return (NONE_WITHIN_BOUNDS if complete else BUDGET_EXHAUSTED), stats

@@ -147,6 +147,12 @@ class TestSearch:
         assert code == 2
         assert "--max-valuations" in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_time_limit_exits_2(self, capsys, value):
+        code, _, err = run(capsys, "search", "p1", "--time-limit", value)
+        assert code == 2
+        assert "--time-limit" in err
+
     def test_checker_disagreement_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr("onevar.search.check_naive", lambda *args: True)
         code, _, err = run(capsys, "search", "p1 -> [1]p1",

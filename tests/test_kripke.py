@@ -274,6 +274,60 @@ class TestDifferential:
         for w in range(frame.worlds):
             assert bool(mask >> w & 1) == check_naive(model, w, f)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_block_lanes_agree_with_single_valuations(self, data):
+        # V valuations side by side on a tiled plan, as the search checks
+        # them: lane v is sat_mask on valuation v alone and check_naive at
+        # every world.  Restricted products add irregular and negative
+        # edge offsets.
+        arity = data.draw(st.integers(1, 2))
+        factors = []
+        for _ in range(arity):
+            n = data.draw(st.integers(1, 3))
+            cells = [(a, b) for a in range(n) for b in range(n)]
+            edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+            factors.append(Frame1(n, edges))
+        frame = product(factors)
+        if data.draw(st.booleans()):
+            frame = restrict(frame, data.draw(st.lists(
+                st.integers(0, frame.worlds - 1), min_size=1, unique=True)))
+        n = frame.worlds
+        valuations = data.draw(st.lists(
+            st.fixed_dictionaries({v: st.integers(0, (1 << n) - 1)
+                                   for v in range(1, 4)}),
+            min_size=1, max_size=8))
+        store = FormulaStore()
+        f = random_formula(store, random.Random(data.draw(st.integers())),
+                           arity=arity)
+        block = {v: sum(val[v] << lane * n
+                        for lane, val in enumerate(valuations))
+                 for v in range(1, 4)}
+        plan = frame.shift_plan().tiled(len(valuations))
+        lanes = sat_mask(plan, block, f, {})
+        assert lanes >> n * len(valuations) == 0
+        for lane, val in enumerate(valuations):
+            mask = sat_mask(frame, val, f, {})
+            assert lanes >> lane * n & (1 << n) - 1 == mask
+            model = ProductModel(
+                factors, {v: [w for w in range(n) if m >> w & 1]
+                          for v, m in val.items()}, 0, frame)
+            for w in range(n):
+                assert bool(mask >> w & 1) == check_naive(model, w, f)
+
+    def test_shift_plan_lists_every_edge_once(self):
+        # the plan is the relation regrouped by offset: reading the edges
+        # back off it gives each edge exactly once, negative offsets included
+        chain = Frame1(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+        frame = restrict(product([chain, chain]), [0, 2, 3, 5, 7, 8])
+        for i, row in enumerate(frame.shift_plan().steps, start=1):
+            edges = [(w, w + d) for d, sources in row
+                     for w in range(frame.worlds) if sources >> w & 1]
+            assert sorted(edges) == relation(frame, i)
+            assert len(edges) == len(relation(frame, i))
+            assert [d for d, _ in row] == sorted({b - a for a, b in edges})
+        assert any(d < 0 for row in frame.shift_plan().steps for d, _ in row)
+
 
 class TestBoundedReach:
     def test_zero_steps(self):

@@ -1,13 +1,16 @@
 """Frame enumeration, countermodel search, calibration, differential suite."""
 
+import hashlib
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from onevar.formulas import FormulaStore, parse
 from onevar.kripke import Frame1, check_naive
-from onevar.search import (CALIBRATION_CORPUS, REFUTABLE_CORPUS,
-                           VALID_CORPUS_TT,
+from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS,
+                           REFUTABLE_CORPUS, VALID_CORPUS_TT,
                            FactorClass, NoPassingVariant, SearchBudget,
                            calibrate_variants, differential_suite,
                            enumerate_frames, find_all_countermodels,
@@ -131,14 +134,21 @@ class TestSearch:
             out = search_countermodel(f, TT, budget)
             assert out.status == "none-within-bounds", text
 
-    def test_time_limit_holds_inside_one_frame(self, store):
-        # one 1x1 frame, 2**16 valuations: the deadline must cut the sweep
+    def test_time_limit_holds_inside_one_frame(self, store, monkeypatch):
+        # one 1x1 frame, 2**16 valuations: the deadline must cut the sweep.
+        # The sweep takes a few milliseconds, too short for a wall-clock
+        # deadline to cut reliably, so a clock that moves one second per
+        # reading stands in: it passes the deadline after the first block.
+        ticks = itertools.count()
+        monkeypatch.setattr("onevar.search.time",
+                            SimpleNamespace(monotonic=lambda: next(ticks)))
         conj = " & ".join(f"p{i}" for i in range(1, 17))
         f = parse(f"{conj} -> p1", 2, store)
         out = search_countermodel(
-            f, TT, SearchBudget(per_factor_max=(1, 1), time_limit=0.01))
+            f, TT, SearchBudget(per_factor_max=(1, 1), time_limit=1.5))
         assert out.status == "budget-exhausted"
-        assert out.stats["models-checked"] < 2 ** 16
+        assert out.stats == {"models-checked": 2 ** BLOCK_BITS,
+                             "frames-checked": 1}
 
     def test_none_within_bounds_builds_no_model(self, store, monkeypatch):
         def refuse(*args, **kwargs):
@@ -172,6 +182,40 @@ class TestSearch:
                           "p9": [[0, 0], [0, 1]], "p10": [[0, 0]]},
             "point": [0, 0],
         }
+
+    def test_first_find_in_second_block(self, store):
+        # only the all-true valuation (the last of 2**13) refutes, so the
+        # witness is the last lane of the second block of 2**12
+        conj = " & ".join(f"p{i}" for i in range(1, 14))
+        f = parse(f"{conj} -> F", 2, store)
+        out = search_countermodel(f, TT, SearchBudget(per_factor_max=(1, 1)))
+        assert out.status == "found"
+        assert out.stats == {"models-checked": 8192, "frames-checked": 1}
+        assert out.model.to_json()["valuation"] == {
+            f"p{i}": [[0, 0]] for i in range(1, 14)}
+
+    def test_find_all_order_pinned(self, store):
+        # every frame up to 2x2 with 2**(2n) valuations each; the list (in
+        # order) is the one the one-valuation-at-a-time sweep produced
+        f = parse("p1 & p2 -> [1](p1 & p2)", 2, store)
+        found, status = find_all_countermodels(
+            f, TT, SearchBudget(per_factor_max=(2, 2)))
+        assert status == "none-within-bounds"
+        assert len(found) == 1332
+        doc = json.dumps([m.to_json() for m in found]).encode()
+        assert hashlib.sha256(doc).hexdigest().startswith("97c49d516463b599")
+
+    def test_sampled_find_all_across_blocks_pinned(self, store):
+        # 5000 sampled valuations per 1x2 frame: a block of 4096 and a
+        # short one of 904, whose plan must be tiled afresh; the values
+        # are those of the one-valuation-at-a-time sweep
+        f = parse(" | ".join(f"p{i}" for i in range(1, 12)), 2, store)
+        found, status = find_all_countermodels(
+            f, TT, SearchBudget(per_factor_max=(1, 2), max_valuations=5000))
+        assert status == "budget-exhausted"
+        assert len(found) == 17
+        doc = json.dumps([m.to_json() for m in found]).encode()
+        assert hashlib.sha256(doc).hexdigest().startswith("3276bcde7ae5e74d")
 
     def test_find_all_collects_every_model(self, store):
         f = parse("p1", 2, store)
