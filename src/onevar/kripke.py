@@ -1,9 +1,11 @@
 """Finite Kripke frames, products, valuations and model checking.
 
 Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame; a
-:class:`NFrame` carries one accessibility relation per modality and, for
-product frames, tags every world with its tuple of factor coordinates.
-Frames, models and satisfaction sets are immutable after construction.
+:class:`NFrame` carries one accessibility relation per modality.  Product
+worlds are numbered row-major by :class:`CoordinateCodec`, the one place that
+maps world indices to factor coordinates and back; a :class:`ProductModel`
+holds the codec of its factors.  Frames, models and satisfaction sets are
+immutable after construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
 using bitmask world sets; it needs only a frame's :class:`ShiftPlan` and one
@@ -194,17 +196,12 @@ class ShiftPlan:
 
 
 class NFrame:
-    """Frame with ``arity`` accessibility relations over a common world set.
+    """Frame with ``arity`` accessibility relations over a common world set."""
 
-    ``tags`` optionally records, for product frames, the factor coordinates
-    of each world.
-    """
-
-    __slots__ = ("arity", "worlds", "succs", "tags", "_shift_plan")
+    __slots__ = ("arity", "worlds", "succs", "_shift_plan")
 
     def __init__(self, arity: int, worlds: int,
-                 succs: Sequence[Sequence[Sequence[int]]],
-                 tags: Sequence[tuple[int, ...]] | None = None):
+                 succs: Sequence[Sequence[Sequence[int]]]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         if worlds < 1:
@@ -222,7 +219,6 @@ class NFrame:
                 for y in s:
                     if not 0 <= y < worlds:
                         raise ValueError(f"successor {y} out of range")
-        self.tags = tuple(tags) if tags is not None else None
         self._shift_plan: ShiftPlan | None = None
 
     def shift_plan(self) -> ShiftPlan:
@@ -278,6 +274,14 @@ class CoordinateCodec:
             idx = idx * size + c
         return idx
 
+    def coords(self, world: int) -> tuple[int, ...]:
+        """Coordinate tuple of a world index; rejects worlds outside the
+        product."""
+        if not 0 <= world < self.worlds:
+            raise ValueError(f"world {world} outside the product")
+        return tuple(world // stride % size
+                     for stride, size in zip(self.strides, self.sizes))
+
     def tuples(self) -> list[tuple[int, ...]]:
         """Every coordinate tuple, in world order."""
         return list(itertools.product(*(range(s) for s in self.sizes)))
@@ -289,19 +293,19 @@ def product(factors: Sequence[Frame1]) -> NFrame:
     if not factors:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
-    tags = codec.tuples()
+    tuples = codec.tuples()
     succs = [[[w + (y - coords[i]) * stride for y in factor.succ[coords[i]]]
-              for w, coords in enumerate(tags)]
+              for w, coords in enumerate(tuples)]
              for i, (factor, stride) in enumerate(zip(factors,
                                                       codec.strides))]
-    return NFrame(len(factors), codec.worlds, succs, tags)
+    return NFrame(len(factors), codec.worlds, succs)
 
 
 def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
     """Subframe on ``keep``: relations intersected with ``keep`` squared.
 
     Worlds are renumbered in increasing order of their old indices; labels
-    and coordinate tags follow the renumbering.
+    follow the renumbering.
     """
     kept = sorted(set(keep))
     if not kept:
@@ -320,29 +324,28 @@ def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
         labels = {name: remap[w] for name, w in frame.labels.items()
                   if w in remap}
         return Frame1(len(kept), edges, labels)
-    tags = None
-    if frame.tags is not None:
-        tags = [frame.tags[old] for old in kept]
-    return NFrame(frame.arity, len(kept), [sub(t) for t in frame.succs], tags)
+    return NFrame(frame.arity, len(kept), [sub(t) for t in frame.succs])
 
 
 class ProductModel:
     """A product frame with a valuation and a distinguished point.
 
     ``valuation`` maps variable indices to world-index sets; variables
-    without an entry evaluate as false everywhere.  The satisfaction cache is
+    without an entry evaluate as false everywhere.  ``codec`` numbers the
+    worlds by their factor coordinates.  The satisfaction cache is
     per-model and keyed by interned formula ids, so repeated checks over the
     shared DAG cost one pass.
     """
 
-    __slots__ = ("factors", "frame", "valuation", "point", "_sat_cache",
-                 "_var_masks")
+    __slots__ = ("factors", "codec", "frame", "valuation", "point",
+                 "_sat_cache", "_var_masks")
 
     def __init__(self, factors: Sequence[Frame1],
                  valuation: Mapping[int, Iterable[int]],
                  point: int,
                  frame: NFrame | None = None):
         self.factors = tuple(factors)
+        self.codec = CoordinateCodec(f.worlds for f in self.factors)
         self.frame = frame if frame is not None else product(self.factors)
         self.valuation: dict[int, frozenset[int]] = {}
         self._var_masks: dict[int, int] = {}
@@ -364,25 +367,20 @@ class ProductModel:
     # -- coordinate helpers -------------------------------------------------
 
     def index_of(self, coords: Sequence[int]) -> int:
-        if self.frame.tags is None:
-            raise ValueError("model frame carries no coordinate tags")
-        return CoordinateCodec(f.worlds for f in self.factors).index(coords)
+        return self.codec.index(coords)
 
     def coords_of(self, world: int) -> tuple[int, ...]:
-        if self.frame.tags is None:
-            raise ValueError("model frame carries no coordinate tags")
-        return self.frame.tags[world]
+        return self.codec.coords(world)
 
     @classmethod
     def from_coords(cls, factors: Sequence[Frame1],
                     valuation: Mapping[int, Iterable[Sequence[int]]],
                     point: Sequence[int]) -> "ProductModel":
         """Build a model giving the valuation and point by coordinate tuples."""
-        frame = product(factors)
         codec = CoordinateCodec(f.worlds for f in factors)
         val = {var: [codec.index(c) for c in coords_list]
                for var, coords_list in valuation.items()}
-        return cls(factors, val, codec.index(point), frame)
+        return cls(factors, val, codec.index(point))
 
     # unused by the package; perfbench/tracer.py patches it by name
     def with_valuation(self, valuation: Mapping[int, Iterable[int]]
@@ -505,7 +503,9 @@ def sat_mask(frame: NFrame | ShiftPlan, var_masks: Mapping[int, int],
 def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
     """Worlds of the model where ``f`` holds."""
     mask = sat_mask(model.frame, model._var_masks, f, model._sat_cache)
-    return frozenset(w for w in range(model.frame.worlds) if mask >> w & 1)
+    # one linear pass: bin(mask)[:1:-1] lists the bits lowest first
+    return frozenset(w for w, bit in enumerate(bin(mask)[:1:-1])
+                     if bit == "1")
 
 
 def check(model: ProductModel, world: int, f: Formula) -> bool:

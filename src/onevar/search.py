@@ -63,7 +63,7 @@ def is_member(frame: Frame1, cls: FactorClass) -> bool:
     if cls is FactorClass.K:
         return True
     edges = set(frame.edges)
-    reflexive = all((w, w) in edges for w in range(frame.worlds))
+    reflexive = frame.is_reflexive
     if cls is FactorClass.T:
         return reflexive
     transitive = all((a, c) in edges

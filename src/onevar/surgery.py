@@ -14,6 +14,14 @@ unverified result.  The ``check_*`` scanners verify the intermediate claims
 the constructions rely on (marker/variable agreement at base points, marker
 exactness, marking of all kept reachable points) and return violation
 reports instead of raising, so a miscalibrated variant shows up as data.
+
+Both surgeries change only the first factor, so they work in world indices:
+under the row-major numbering of :class:`~onevar.kripke.CoordinateCodec`,
+``divmod(w, model.codec.strides[0])`` splits a world into its first
+coordinate and its column (the index of the remaining coordinates), and the
+column numbering is the same on both sides of a surgery.  In particular a
+base world keeps its index in the transferred model.  Coordinate tuples
+appear only in reports and JSON output.
 """
 
 from __future__ import annotations
@@ -21,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from onevar.formulas import Formula, subformulas
-from onevar.kripke import (CoordinateCodec, Frame1, ProductModel,
-                           bounded_reach, check, reflexive_closure, restrict,
-                           sat_set)
+from onevar.kripke import (Frame1, ProductModel, bounded_reach, check,
+                           reflexive_closure, restrict, sat_set)
 from onevar.translation import TranslationContext
 
 
@@ -109,33 +116,32 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     return Frame1(worlds, edges, labels)
 
 
-def lift_valuation(base: ProductModel, m: int,
-                   variant) -> set[tuple[int, ...]]:
-    """Coordinates of the extended product where the reserved variable holds.
+def lift_valuation(base: ProductModel, m: int, variant) -> set[int]:
+    """Worlds of the extended product where the reserved variable holds.
 
     The ``m+1`` ladder's w-points carry the variable over every column; the
     w-points of ladder ``k <= m`` over base world ``z1`` carry it in column
     ``(z2, ..., zn)`` exactly when the base point ``(z1, z2, ..., zn)``
     satisfies variable ``k``.  Whether rung 0 is included is the variant's
-    choice.  Base points never carry the variable.
+    choice.  Base points never carry the variable.  The extended product
+    numbers its columns as ``base`` does, so gadget world ``g`` in column
+    ``c`` is world ``g * columns + c``.
     """
     gadgets = gadget_layout(base.factors[0].worlds, m)
     lowest_rung = 0 if variant.mark_first_rung else 1
-    all_columns = CoordinateCodec(f.worlds for f in base.factors[1:]).tuples()
+    columns = base.codec.strides[0]
 
-    marked: set[tuple[int, ...]] = set()
+    marked: set[int] = set()
     for world, gp in gadgets.items():
         if gp.role != "w" or gp.rung < lowest_rung:
             continue
         if gp.ladder == m + 1:
-            for column in all_columns:
-                marked.add((world, *column))
+            marked.update(range(world * columns, (world + 1) * columns))
         else:
-            var_worlds = base.valuation.get(gp.ladder, frozenset())
-            for bw in var_worlds:
-                coords = base.coords_of(bw)
-                if coords[0] == gp.base:
-                    marked.add((world, *coords[1:]))
+            for bw in base.valuation.get(gp.ladder, frozenset()):
+                first, column = divmod(bw, columns)
+                if first == gp.base:
+                    marked.add(world * columns + column)
     return marked
 
 
@@ -143,7 +149,6 @@ def lift_valuation(base: ProductModel, m: int,
 class TransferResult:
     """Verified output of :func:`transfer_countermodel`."""
 
-    extended_first_factor: Frame1
     model: ProductModel
     base_points: frozenset[int]   # image of the original worlds, ext indexing
     point: int                    # image of the refuting point
@@ -178,18 +183,15 @@ def build_transfer(base: ProductModel, f: Formula,
     ext_f1 = attach_gadgets(base.factors[0], m, k_mode=k_mode)
     marked = lift_valuation(base, m, ctx.variant)
     factors = [ext_f1, *base.factors[1:]]
-    model = ProductModel.from_coords(factors, {0: marked},
-                                     base.coords_of(base.point))
-    # the original first-factor worlds come first, so their points are the
-    # leading block of the row-major numbering
-    codec = CoordinateCodec(f.worlds for f in factors)
-    base_points = frozenset(
-        range(base.factors[0].worlds * codec.strides[0]))
+    model = ProductModel(factors, {0: marked}, base.point)
+    # the original first-factor worlds come first, so every base world keeps
+    # its index
+    base_points = frozenset(range(base.frame.worlds))
 
     refuted = not check(model, model.point, ctx.reduce(f))
     guarded = check(model, model.point, ctx.uniform_guard())
     checks = {"refutes-reduction": refuted, "guard-at-point": guarded}
-    return TransferResult(ext_f1, model, base_points, model.point, checks)
+    return TransferResult(model, base_points, model.point, checks)
 
 
 def transfer_countermodel(base: ProductModel, f: Formula,
@@ -207,16 +209,11 @@ def transfer_countermodel(base: ProductModel, f: Formula,
 
 @dataclass
 class SurgeryReport:
-    """Outcome of one exhaustive scan; empty ``violations`` means pass.
-
-    ``trace`` optionally carries per-point witness data when a scan is run
-    with tracing enabled.
-    """
+    """Outcome of one exhaustive scan; empty ``violations`` means pass."""
 
     name: str
     checked: int
     violations: tuple
-    trace: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -236,14 +233,12 @@ def check_marker_agreement(result: TransferResult, base: ProductModel,
     checked = 0
     model = result.model
     for bw in range(base.frame.worlds):
-        coords = base.coords_of(bw)
-        ext_w = model.index_of(coords)
         for k in range(1, ctx.var_limit + 1):
-            got = check(model, ext_w, ctx.var_marker(k))
+            got = check(model, bw, ctx.var_marker(k))
             want = bw in base.valuation.get(k, frozenset())
             checked += 1
             if got != want:
-                violations.append((coords, k, got, want))
+                violations.append((base.coords_of(bw), k, got, want))
     return SurgeryReport("marker-agreement", checked, tuple(violations))
 
 
@@ -260,10 +255,11 @@ def check_marker_exactness(result: TransferResult,
     extras = sorted(sat - result.base_points)
     violations = [("missing", model.coords_of(w)) for w in missing]
     if extras:
-        base_worlds = len({model.coords_of(w)[0] for w in result.base_points})
-        gadgets = gadget_layout(base_worlds, ctx.var_limit)
+        columns = model.codec.strides[0]
+        gadgets = gadget_layout(len(result.base_points) // columns,
+                                ctx.var_limit)
         for w in extras:
-            gp = gadgets.get(model.coords_of(w)[0])
+            gp = gadgets.get(w // columns)
             violations.append(("extra", model.coords_of(w),
                                gp.label if gp else "base?"))
     return SurgeryReport("marker-exactness",
@@ -310,10 +306,11 @@ def build_extraction(counter: ProductModel, f: Formula,
     reach = bounded_reach(counter.frame, counter.point, ctx.depth,
                           range(1, ctx.arity + 1))
     marked = sat_set(counter, ctx.base_marker())
-    kept = sorted({counter.coords_of(w)[0] for w in reach & marked})
+    columns = counter.codec.strides[0]
+    kept = sorted({w // columns for w in reach & marked})
     # the guard makes the refuting point marked, and it is reachable in 0
     # steps, so its first coordinate is kept
-    if counter.coords_of(counter.point)[0] not in kept:
+    if counter.point // columns not in kept:
         raise ExtractionFailed(
             "the refuting point lost its first coordinate in extraction")
 
@@ -321,24 +318,19 @@ def build_extraction(counter: ProductModel, f: Formula,
     new_f1 = restrict(counter.factors[0], kept)
     factors = [new_f1, *counter.factors[1:]]
 
-    def project(coords: tuple[int, ...]) -> tuple[int, ...] | None:
-        first = remap.get(coords[0])
-        if first is None:
-            return None
-        return (first, *coords[1:])
+    def project(w: int) -> int | None:
+        """``w`` in the carved model (same column, renumbered first
+        coordinate), or None if its first coordinate was dropped."""
+        first, column = divmod(w, columns)
+        new = remap.get(first)
+        return None if new is None else new * columns + column
 
-    valuation: dict[int, list[tuple[int, ...]]] = {}
+    valuation: dict[int, list[int]] = {}
     for k in range(1, ctx.var_limit + 1):
-        marker_sat = sat_set(counter, ctx.var_marker(k))
-        coords_list = []
-        for w in marker_sat:
-            projected = project(counter.coords_of(w))
-            if projected is not None:
-                coords_list.append(projected)
-        valuation[k] = coords_list
+        projected = map(project, sat_set(counter, ctx.var_marker(k)))
+        valuation[k] = [w for w in projected if w is not None]
 
-    point_coords = project(counter.coords_of(counter.point))
-    model = ProductModel.from_coords(factors, valuation, point_coords)
+    model = ProductModel(factors, valuation, project(counter.point))
 
     refuted = not check(model, model.point, f)
     checks = {"guard-at-point": True, "refutes-source": refuted}
@@ -360,50 +352,23 @@ def extract_countermodel(counter: ProductModel, f: Formula,
 
 def check_kept_points_marked(counter: ProductModel,
                              extraction: ExtractionResult,
-                             ctx: TranslationContext,
-                             trace: bool = False) -> SurgeryReport:
+                             ctx: TranslationContext) -> SurgeryReport:
     """Every kept point within reach of the refuting point must satisfy the
-    base marker in the source model.
-
-    With ``trace`` on, each checked point records a sibling marked point with
-    the same first coordinate and, if one exists, a common point reachable
-    from both without moving the first coordinate (the intermediate step the
-    marker-propagation argument pivots on).
-    """
+    base marker in the source model."""
     kept = set(extraction.kept_first_factor)
     reach = bounded_reach(counter.frame, counter.point, ctx.depth,
                           range(1, ctx.arity + 1))
     marked = sat_set(counter, ctx.base_marker())
-    rest_dims = range(2, ctx.arity + 1)
+    columns = counter.codec.strides[0]
     violations = []
     checked = 0
-    traces = []
     for w in sorted(reach):
-        if counter.coords_of(w)[0] not in kept:
+        if w // columns not in kept:
             continue
         checked += 1
         if w not in marked:
             violations.append((counter.coords_of(w),))
-            continue
-        if trace:
-            sibling = next(
-                (x for x in sorted(reach & marked)
-                 if counter.coords_of(x)[0] == counter.coords_of(w)[0]),
-                None)
-            common = None
-            if sibling is not None:
-                from_sibling = bounded_reach(counter.frame, sibling,
-                                             ctx.depth, rest_dims)
-                from_w = bounded_reach(counter.frame, w, ctx.depth, rest_dims)
-                shared = sorted(from_sibling & from_w)
-                common = shared[0] if shared else None
-            traces.append((counter.coords_of(w),
-                           counter.coords_of(sibling) if sibling is not None
-                           else None,
-                           counter.coords_of(common) if common is not None
-                           else None))
-    return SurgeryReport("kept-points-marked", checked, tuple(violations),
-                         trace=tuple(traces))
+    return SurgeryReport("kept-points-marked", checked, tuple(violations))
 
 
 def check_subformula_preservation(base: ProductModel,
@@ -418,9 +383,7 @@ def check_subformula_preservation(base: ProductModel,
     for sub in subformulas(f):
         lowered = ctx.lower(sub)
         for bw in range(base.frame.worlds):
-            coords = base.coords_of(bw)
             checked += 1
-            if check(base, bw, sub) != check(model, model.index_of(coords),
-                                             lowered):
-                violations.append((coords, sub.uid))
+            if check(base, bw, sub) != check(model, bw, lowered):
+                violations.append((base.coords_of(bw), sub.uid))
     return SurgeryReport("subformula-preservation", checked, tuple(violations))

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from onevar.formulas import (Formula, FormulaStore, ModalityError, box_upto,
-                             composite_dia, dia_upto, variables)
+from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, FormulaStore,
+                             ModalityError, box_upto, composite_dia, dia_upto,
+                             variables)
 
 
 class ReservedVariableError(ValueError):
@@ -190,9 +191,9 @@ class TranslationContext:
             return hit
         store = self.store
         kind = f.kind
-        if kind == "bot":
+        if kind == BOT:
             out = f
-        elif kind == "var":
+        elif kind == VAR:
             if f.idx == 0:
                 raise ReservedVariableError(
                     "the reserved variable p cannot occur in a source formula")
@@ -201,11 +202,11 @@ class TranslationContext:
                     f"variable p{f.idx} exceeds the context limit "
                     f"{self.var_limit}")
             out = self.var_marker(f.idx)
-        elif kind == "and":
+        elif kind == AND:
             out = store.and_(self.lower(f.children[0]), self.lower(f.children[1]))
-        elif kind == "or":
+        elif kind == OR:
             out = store.or_(self.lower(f.children[0]), self.lower(f.children[1]))
-        elif kind == "imp":
+        elif kind == IMP:
             out = store.imp(self.lower(f.children[0]), self.lower(f.children[1]))
         else:  # box
             if f.idx > self.arity:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON payloads, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,16 @@ CHAIN_MODEL = {
                 {"worlds": 1, "edges": [[0, 0]]}],
     "valuation": {"p1": [[0, 0]]},
     "point": [0, 0],
+}
+
+# a second factor of three worlds, so a world's column is not its first
+# coordinate and a wrong stride moves points
+GRID_MODEL = {
+    "factors": [{"worlds": 2, "edges": [[0, 0], [0, 1], [1, 1]]},
+                {"worlds": 3, "edges": [[0, 0], [0, 1], [1, 1], [1, 2],
+                                        [2, 2]]}],
+    "valuation": {"p1": [[0, 0], [0, 1], [1, 2]], "p2": [[1, 1], [0, 2]]},
+    "point": [0, 1],
 }
 
 
@@ -191,6 +202,24 @@ class TestTransferExtract:
         doc = json.loads(out)
         assert doc["checks"]["refutes-source"] is True
         assert doc["report"]["kept_points_marked"]["passed"] is True
+
+    def test_grid_round_trip_pinned(self, capsys, model_file):
+        # stdout of both surgeries with their reports, pinned; with three
+        # columns a stride error in either surgery changes it
+        formula = "p1 -> [2]p1 | [1]p2"
+        code, out, _ = run(capsys, "transfer", model_file(GRID_MODEL),
+                           formula)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d4606cb24b9780a7d3ce8962ec62e9640611f74bc1cde487cb918c4424979324")
+        counter_path = model_file(json.loads(out)["model"], "counter.json")
+        code, out, _ = run(capsys, "extract", counter_path, formula)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "46fc7bc2c2a9ec25192fa9a529d91f088812c58a5d325b99009cc9d949fa26a5")
+        # extraction gives back the source valuation
+        assert json.loads(out)["model"]["valuation"] == {
+            "p1": [[0, 0], [0, 1], [1, 2]], "p2": [[0, 2], [1, 1]]}
 
     def test_non_countermodel_exits_2(self, capsys, model_file):
         code, _, err = run(capsys, "transfer", model_file(BOT_MODEL),

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onevar.formulas import FormulaStore, box_upto
-from onevar.kripke import (Frame1, ModelFormatError, ProductModel,
-                           bounded_reach, check, check_naive, ladder,
-                           product, reflexive_closure, restrict, sat_mask,
-                           sat_set, symmetric_closure, transitive_closure)
+from onevar.kripke import (CoordinateCodec, Frame1, ModelFormatError,
+                           ProductModel, bounded_reach, check, check_naive,
+                           ladder, product, reflexive_closure, restrict,
+                           sat_mask, sat_set, symmetric_closure,
+                           transitive_closure)
 from tests.test_formulas import random_formula
 
 
@@ -116,10 +117,10 @@ class TestProduct:
         # the left coordinate
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
         frame = product([chain, chain])
-        tag = {t: i for i, t in enumerate(frame.tags)}
+        index = CoordinateCodec([2, 2]).index
         for (a, b), (c, d) in [((0, 0), (1, 0)), ((0, 1), (1, 1))]:
-            assert tag[(c, d)] in frame.succs[0][tag[(a, b)]]
-        assert tag[(0, 1)] not in frame.succs[0][tag[(0, 0)]]
+            assert index((c, d)) in frame.succs[0][index((a, b))]
+        assert index((0, 1)) not in frame.succs[0][index((0, 0))]
 
     def test_coherence_random(self):
         # every relation-i edge changes exactly coordinate i, and its i-th
@@ -133,9 +134,10 @@ class TestProduct:
                 edges = [c for c in cells if rng.random() < 0.5]
                 factors.append(Frame1(n, edges))
             frame = product(factors)
+            codec = CoordinateCodec(f.worlds for f in factors)
             for i in range(1, len(factors) + 1):
                 for a, b in relation(frame, i):
-                    ca, cb = frame.tags[a], frame.tags[b]
+                    ca, cb = codec.coords(a), codec.coords(b)
                     for pos in range(len(factors)):
                         if pos == i - 1:
                             assert (ca[pos], cb[pos]) in set(
@@ -146,6 +148,26 @@ class TestProduct:
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
             product([])
+
+
+class TestCoordinateCodec:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_coords_and_index_invert_each_other(self, sizes):
+        # decoding one world agrees with the enumeration the product is
+        # built from, and encoding the decoded tuple gives the world back
+        codec = CoordinateCodec(sizes)
+        tuples = codec.tuples()
+        assert len(tuples) == codec.worlds
+        for w in range(codec.worlds):
+            assert codec.coords(w) == tuples[w]
+            assert codec.index(codec.coords(w)) == w
+
+    def test_coords_rejects_missing_worlds(self):
+        codec = CoordinateCodec([2, 3])
+        for w in (-1, 6):
+            with pytest.raises(ValueError):
+                codec.coords(w)
 
 
 class TestRestrict:
@@ -172,7 +194,12 @@ class TestRestrict:
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
         frame = product([chain, chain])
         sub = restrict(frame, [0, 1])
-        assert sub.worlds == 2 and sub.tags == ((0, 0), (0, 1))
+        # the kept worlds are (0, 0) and (0, 1): relation 1 leaves the set
+        # except through the loops, relation 2 stays inside it
+        assert [CoordinateCodec([2, 2]).coords(w) for w in (0, 1)] == \
+            [(0, 0), (0, 1)]
+        assert sub.worlds == 2
+        assert sub.succs == (((0,), (1,)), ((0, 1), (1,)))
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
@@ -350,8 +377,9 @@ class TestBoundedReach:
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
         frame = product([chain, chain])
         # moving only along dimension 2 never changes the first coordinate
+        coords = CoordinateCodec([2, 2]).coords
         for w in bounded_reach(frame, 0, 3, [2]):
-            assert frame.tags[w][0] == frame.tags[0][0]
+            assert coords(w)[0] == coords(0)[0]
 
     def test_correspondence_with_box_upto(self, store):
         # box_upto(k, f) at x iff f holds everywhere within k steps; both

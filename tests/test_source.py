@@ -28,6 +28,30 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _codec_use(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "tags"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return name == "CoordinateCodec"
+
+
+def test_world_numbering_stays_in_kripke():
+    # product worlds are numbered in one place: only kripke builds a
+    # CoordinateCodec, and no module reads per-world coordinate tags
+    found = []
+    for path in sorted((ROOT / "src" / "onevar").glob("*.py")):
+        if path.name == "kripke.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _codec_use(node)]
+    assert found == []
+
+
 def test_perfbench_tracer_binds(monkeypatch):
     # the benchmark's traced run wraps package functions by name; a rename
     # or move of any of them must fail here, not in the benchmark

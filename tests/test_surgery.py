@@ -4,8 +4,8 @@ import pytest
 
 import onevar.surgery
 from onevar.formulas import parse
-from onevar.kripke import (Frame1, ProductModel, check, check_naive, ladder,
-                           restrict, sat_set)
+from onevar.kripke import (CoordinateCodec, Frame1, ProductModel, check,
+                           check_naive, ladder, restrict, sat_set)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, attach_gadgets, build_transfer,
                             check_kept_points_marked, check_marker_agreement,
@@ -86,6 +86,14 @@ class TestAttachGadgets:
         assert layout[base.worlds].label == "v0.k1.x0"
 
 
+def lifted_coords(base, m, variant):
+    """Coordinates of the worlds :func:`lift_valuation` marks, decoded by the
+    codec of the extended product."""
+    ext = attach_gadgets(base.factors[0], m)
+    codec = CoordinateCodec([ext.worlds, *(f.worlds for f in base.factors[1:])])
+    return {codec.coords(w) for w in lift_valuation(base, m, variant)}
+
+
 class TestLiftValuation:
     def base_model(self):
         return ProductModel.from_coords(
@@ -93,7 +101,7 @@ class TestLiftValuation:
 
     def test_base_points_never_marked(self):
         base = self.base_model()
-        marked = lift_valuation(base, 1, DEFAULT_VARIANT)
+        marked = lifted_coords(base, 1, DEFAULT_VARIANT)
         for coords in marked:
             assert coords[0] >= base.factors[0].worlds
 
@@ -102,7 +110,7 @@ class TestLiftValuation:
         # carries the variable
         base = self.base_model()
         gadgets = gadget_layout(base.factors[0].worlds, 1)
-        marked = lift_valuation(base, 1, DEFAULT_VARIANT)
+        marked = lifted_coords(base, 1, DEFAULT_VARIANT)
         for coords in marked:
             gp = gadgets[coords[0]]
             if gp.ladder == 1:
@@ -112,7 +120,7 @@ class TestLiftValuation:
         base = ProductModel.from_coords(
             [REFLEXIVE_POINT, REFLEXIVE_CHAIN], {}, (0, 0))
         gadgets = gadget_layout(base.factors[0].worlds, 0)
-        marked = lift_valuation(base, 0, DEFAULT_VARIANT)
+        marked = lifted_coords(base, 0, DEFAULT_VARIANT)
         w_points = [w for w, gp in gadgets.items()
                     if gp.ladder == 1 and gp.role == "w"]
         for w in w_points:
@@ -122,8 +130,8 @@ class TestLiftValuation:
     def test_first_rung_follows_variant(self):
         base = self.base_model()
         gadgets = gadget_layout(base.factors[0].worlds, 1)
-        with_rung = lift_valuation(base, 1, DEFAULT_VARIANT)
-        without = lift_valuation(
+        with_rung = lifted_coords(base, 1, DEFAULT_VARIANT)
+        without = lifted_coords(
             base, 1,
             VariantConfig(mark_first_rung=False, guards=()))
         rung0 = {c for c in with_rung if gadgets[c[0]].rung == 0}
@@ -169,6 +177,23 @@ class TestTransfer:
             result = transfer_countermodel(base, f, ctx)
             report = check_subformula_preservation(base, result, f, ctx)
             assert report.passed
+
+    def test_base_worlds_keep_their_index(self, store):
+        # only the first factor grows, and its original worlds come first,
+        # so every base world is the same point of the transferred model;
+        # three columns make a wrong stride visible
+        f, ctx = make_ctx(store, "p1 -> [2]p1 | [1]p2")
+        column = Frame1(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+        base = ProductModel.from_coords(
+            [REFLEXIVE_CHAIN, column],
+            {1: [(0, 0), (0, 1), (1, 2)], 2: [(1, 1), (0, 2)]}, (0, 1))
+        result = transfer_countermodel(base, f, ctx)
+        assert result.point == base.point
+        assert result.base_points == frozenset(range(base.frame.worlds))
+        for bw in range(base.frame.worlds):
+            assert result.model.coords_of(bw) == base.coords_of(bw)
+        assert check_marker_agreement(result, base, ctx).passed
+        assert check_subformula_preservation(base, result, f, ctx).passed
 
     def test_non_countermodel_rejected(self, store):
         f, ctx = make_ctx(store, "p1")
@@ -261,6 +286,20 @@ class TestMarkerScans:
         labels = {v[2] for v in report.violations}
         assert all(label.startswith("v0.k2.") for label in labels)
 
+    def test_leak_labels_name_the_first_coordinate(self, store):
+        # three columns: the label of a leak comes from its first
+        # coordinate, not from its world index
+        f, ctx = make_ctx(store, "p1", VariantConfig(guards=()))
+        column = Frame1(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
+        base = ProductModel.from_coords([REFLEXIVE_CHAIN, column], {},
+                                        (0, 0))
+        report = check_marker_exactness(build_transfer(base, f, ctx), ctx)
+        gadgets = gadget_layout(REFLEXIVE_CHAIN.worlds, ctx.var_limit)
+        extras = [v for v in report.violations if v[0] == "extra"]
+        assert {coords[1] for _, coords, _ in extras} == {0, 1, 2}
+        for _, coords, label in extras:
+            assert label == gadgets[coords[0]].label
+
 
 class TestExtraction:
     def test_round_trip(self, store):
@@ -334,20 +373,6 @@ class TestKeptPointsScan:
         extraction = extract_countermodel(result.model, f, ctx)
         report = check_kept_points_marked(result.model, extraction, ctx)
         assert report.passed and report.checked > 0
-
-    def test_trace_records_witnesses(self, store):
-        f, ctx = make_ctx(store, "p1 -> [1]p1")
-        base = ProductModel.from_coords(
-            [REFLEXIVE_CHAIN, REFLEXIVE_POINT], {1: [(0, 0)]}, (0, 0))
-        result = transfer_countermodel(base, f, ctx)
-        extraction = extract_countermodel(result.model, f, ctx)
-        report = check_kept_points_marked(result.model, extraction, ctx,
-                                          trace=True)
-        assert report.passed
-        for point, sibling, common in report.trace:
-            assert sibling is not None
-            assert common is not None
-            assert sibling[0] == point[0] == common[0]
 
     def test_vacuous_when_nothing_kept_in_reach(self, store):
         # depth 0: reach is the point itself, which is always kept and marked
