@@ -19,7 +19,6 @@ from onevar.formulas import (
 )
 from onevar.kripke import (
     Frame1,
-    NFrame,
     ProductModel,
     bounded_reach,
     check,
@@ -50,7 +49,6 @@ __all__ = [
     "sizes",
     "variables",
     "Frame1",
-    "NFrame",
     "ProductModel",
     "bounded_reach",
     "check",

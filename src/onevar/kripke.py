@@ -1,28 +1,27 @@
 """Finite Kripke frames, products, valuations and model checking.
 
-Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame; a
-:class:`NFrame` carries one accessibility relation per modality.  Product
+Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame.  Product
 worlds are numbered row-major by :class:`CoordinateCodec`, the one place that
 maps world indices to factor coordinates and back; a :class:`ProductModel`
-holds the codec of its factors.  Frames, models and satisfaction sets are
-immutable after construction.
+holds the codec of its factors.  A product frame is its :class:`ShiftPlan`,
+which :func:`product` builds straight from the factors' edges.  Frames,
+models and satisfaction sets are immutable after construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
-using bitmask world sets; it needs only a frame's :class:`ShiftPlan` and one
-world mask per variable.  The plan groups each relation's edges ``w -> y`` by
+using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
+mask per variable.  The plan groups each relation's edges ``w -> y`` by
 their offset ``d = y - w``, so the box step costs a few big-integer shifts
 per distinct offset instead of a loop over the worlds.  Offsets survive
 disjoint copies of a frame, so one pass over a plan tiled with
 :meth:`ShiftPlan.tiled` evaluates one valuation per copy at once (bit-sliced
 valuations, as in Biham's bitsliced DES, FSE 1997).  :func:`check_naive` is
 an independent oracle: a direct recursive evaluator with no sharing and no
-caching, kept deliberately separate so the two can be differenced against
-each other.
+caching that reads the factors, not the plan, kept deliberately separate so
+the two can be differenced against each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, Formula,
@@ -166,7 +165,8 @@ def repunit(step: int, count: int) -> int:
 
 
 class ShiftPlan:
-    """A frame's relations as edge offsets, the form :func:`sat_mask` reads.
+    """A frame's relations as edge offsets, the form :func:`sat_mask` reads
+    and the one product-frame type (:func:`product` builds it).
 
     ``steps[i]`` lists, for modality ``i + 1``, one ``(d, sources)`` pair per
     offset ``d`` in increasing order: ``sources`` is the mask of the worlds
@@ -193,50 +193,6 @@ class ShiftPlan:
         return ShiftPlan(self.arity, self.worlds * copies,
                          [[(d, sources * ones) for d, sources in row]
                           for row in self.steps])
-
-
-class NFrame:
-    """Frame with ``arity`` accessibility relations over a common world set."""
-
-    __slots__ = ("arity", "worlds", "succs", "_shift_plan")
-
-    def __init__(self, arity: int, worlds: int,
-                 succs: Sequence[Sequence[Sequence[int]]]):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        if worlds < 1:
-            raise ValueError("a frame needs at least one world")
-        if len(succs) != arity:
-            raise ValueError("one successor table per modality required")
-        self.arity = arity
-        self.worlds = worlds
-        self.succs = tuple(tuple(tuple(sorted(set(s))) for s in table)
-                           for table in succs)
-        for table in self.succs:
-            if len(table) != worlds:
-                raise ValueError("successor table size mismatch")
-            for s in table:
-                for y in s:
-                    if not 0 <= y < worlds:
-                        raise ValueError(f"successor {y} out of range")
-        self._shift_plan: ShiftPlan | None = None
-
-    def shift_plan(self) -> ShiftPlan:
-        """The frame's :class:`ShiftPlan`, built on first use."""
-        if self._shift_plan is None:
-            steps = []
-            for table in self.succs:
-                sources: dict[int, int] = {}
-                for w, succ in enumerate(table):
-                    bit = 1 << w
-                    for y in succ:
-                        sources[y - w] = sources.get(y - w, 0) | bit
-                steps.append(sorted(sources.items()))
-            self._shift_plan = ShiftPlan(self.arity, self.worlds, steps)
-        return self._shift_plan
-
-    def __repr__(self) -> str:
-        return f"NFrame(arity={self.arity}, worlds={self.worlds})"
 
 
 class CoordinateCodec:
@@ -282,27 +238,35 @@ class CoordinateCodec:
         return tuple(world // stride % size
                      for stride, size in zip(self.strides, self.sizes))
 
-    def tuples(self) -> list[tuple[int, ...]]:
-        """Every coordinate tuple, in world order."""
-        return list(itertools.product(*(range(s) for s in self.sizes)))
 
+def product(factors: Sequence[Frame1]) -> ShiftPlan:
+    """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
+    coordinate ``i`` along the i-th factor's relation.
 
-def product(factors: Sequence[Frame1]) -> NFrame:
-    """Product frame: worlds are coordinate tuples, relation ``i`` moves
-    exactly coordinate ``i`` along the i-th factor's relation."""
+    Factor ``i``'s edge ``x -> y`` is offset ``(y - x) * strides[i]``, and
+    its sources are the worlds whose coordinate ``i`` is ``x``: runs of
+    ``strides[i]`` worlds from ``x * strides[i]`` on, repeated every
+    ``size_i * strides[i]`` worlds.  So the cost is one big-integer OR per
+    factor edge, whatever the number of product worlds.
+    """
     if not factors:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
-    tuples = codec.tuples()
-    succs = [[[w + (y - coords[i]) * stride for y in factor.succ[coords[i]]]
-              for w, coords in enumerate(tuples)]
-             for i, (factor, stride) in enumerate(zip(factors,
-                                                      codec.strides))]
-    return NFrame(len(factors), codec.worlds, succs)
+    steps = []
+    for factor, stride in zip(factors, codec.strides):
+        period = factor.worlds * stride
+        # the worlds whose coordinate on this factor is 0
+        column = ((1 << stride) - 1) * repunit(period, codec.worlds // period)
+        sources: dict[int, int] = {}
+        for x, y in factor.edges:
+            d = (y - x) * stride
+            sources[d] = sources.get(d, 0) | column << x * stride
+        steps.append(sorted(sources.items()))
+    return ShiftPlan(len(factors), codec.worlds, steps)
 
 
-def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
-    """Subframe on ``keep``: relations intersected with ``keep`` squared.
+def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
+    """Subframe on ``keep``: the relation intersected with ``keep`` squared.
 
     Worlds are renumbered in increasing order of their old indices; labels
     follow the renumbering.
@@ -310,21 +274,14 @@ def restrict(frame: Frame1 | NFrame, keep: Iterable[int]):
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("cannot restrict to an empty world set")
-    if not isinstance(frame, (Frame1, NFrame)):
-        raise TypeError(f"cannot restrict {type(frame).__name__}")
     if any(not 0 <= w < frame.worlds for w in kept):
         raise ValueError("keep set mentions missing worlds")
     remap = {old: new for new, old in enumerate(kept)}
-
-    def sub(table: Sequence[Sequence[int]]) -> list[list[int]]:
-        return [[remap[y] for y in table[old] if y in remap] for old in kept]
-
-    if isinstance(frame, Frame1):
-        edges = [(a, b) for a, row in enumerate(sub(frame.succ)) for b in row]
-        labels = {name: remap[w] for name, w in frame.labels.items()
-                  if w in remap}
-        return Frame1(len(kept), edges, labels)
-    return NFrame(frame.arity, len(kept), [sub(t) for t in frame.succs])
+    edges = [(remap[a], remap[b]) for a, b in frame.edges
+             if a in remap and b in remap]
+    labels = {name: remap[w] for name, w in frame.labels.items()
+              if w in remap}
+    return Frame1(len(kept), edges, labels)
 
 
 class ProductModel:
@@ -332,7 +289,9 @@ class ProductModel:
 
     ``valuation`` maps variable indices to world-index sets; variables
     without an entry evaluate as false everywhere.  ``codec`` numbers the
-    worlds by their factor coordinates.  The satisfaction cache is
+    worlds by their factor coordinates, and ``frame`` is the product's
+    :class:`ShiftPlan` (built here unless a caller passes the one it already
+    has for the same factors).  The satisfaction cache is
     per-model and keyed by interned formula ids, so repeated checks over the
     shared DAG cost one pass.
     """
@@ -343,10 +302,15 @@ class ProductModel:
     def __init__(self, factors: Sequence[Frame1],
                  valuation: Mapping[int, Iterable[int]],
                  point: int,
-                 frame: NFrame | None = None):
+                 frame: ShiftPlan | None = None):
         self.factors = tuple(factors)
         self.codec = CoordinateCodec(f.worlds for f in self.factors)
-        self.frame = frame if frame is not None else product(self.factors)
+        if frame is None:
+            frame = product(self.factors)
+        elif (frame.worlds != self.codec.worlds
+              or frame.arity != len(self.factors)):
+            raise ValueError("the frame is not the product of the factors")
+        self.frame = frame
         self.valuation: dict[int, frozenset[int]] = {}
         self._var_masks: dict[int, int] = {}
         for var, ws in valuation.items():
@@ -449,18 +413,17 @@ def _coords(value) -> tuple[int, ...]:
 # Model checking
 # ---------------------------------------------------------------------------
 
-def sat_mask(frame: NFrame | ShiftPlan, var_masks: Mapping[int, int],
+def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
              f: Formula, cache: dict[int, int]) -> int:
-    """Worlds of ``frame`` where ``f`` holds, as a bitmask (bit ``w`` for
+    """Worlds of ``plan`` where ``f`` holds, as a bitmask (bit ``w`` for
     world ``w``).
 
-    ``frame`` is a frame or its :class:`ShiftPlan`, possibly tiled: over
-    ``V`` copies, bits ``v*n .. v*n + n - 1`` of every mask hold copy ``v``,
-    so one call evaluates ``V`` valuations.  ``var_masks`` maps variable
-    indices to world masks; variables without an entry are false
-    everywhere.  ``cache`` maps formula uids to masks already computed under
-    the same plan and masks, and is filled in; pass ``{}`` for a one-off
-    evaluation.
+    ``plan`` may be tiled: over ``V`` copies, bits ``v*n .. v*n + n - 1`` of
+    every mask hold copy ``v``, so one call evaluates ``V`` valuations.
+    ``var_masks`` maps variable indices to world masks; variables without an
+    entry are false everywhere.  ``cache`` maps formula uids to masks already
+    computed under the same plan and masks, and is filled in; pass ``{}``
+    for a one-off evaluation.
 
     The box step reads the plan: with ``outside`` the worlds where the body
     fails, ``[i]body`` fails at ``w`` exactly when some offset ``d`` of
@@ -471,7 +434,6 @@ def sat_mask(frame: NFrame | ShiftPlan, var_masks: Mapping[int, int],
     hit = cache.get(f.uid)
     if hit is not None:
         return hit
-    plan = frame if isinstance(frame, ShiftPlan) else frame.shift_plan()
     full = (1 << plan.worlds) - 1
     for node in postorder(f):
         if node.uid in cache:
@@ -500,12 +462,17 @@ def sat_mask(frame: NFrame | ShiftPlan, var_masks: Mapping[int, int],
     return cache[f.uid]
 
 
-def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
-    """Worlds of the model where ``f`` holds."""
-    mask = sat_mask(model.frame, model._var_masks, f, model._sat_cache)
+def _worlds(mask: int) -> frozenset[int]:
+    """The set bits of ``mask``."""
     # one linear pass: bin(mask)[:1:-1] lists the bits lowest first
     return frozenset(w for w, bit in enumerate(bin(mask)[:1:-1])
                      if bit == "1")
+
+
+def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
+    """Worlds of the model where ``f`` holds."""
+    return _worlds(sat_mask(model.frame, model._var_masks, f,
+                            model._sat_cache))
 
 
 def check(model: ProductModel, world: int, f: Formula) -> bool:
@@ -521,9 +488,12 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
 
     Deliberately structured differently from :func:`sat_mask` (per-world
     recursion instead of bottom-up labeling) so the two implementations can
-    serve as oracles for each other.
+    serve as oracles for each other.  It reads the product definition off
+    the factors, not the model's plan: box ``i`` at ``world`` visits the
+    worlds that change coordinate ``i`` from ``c`` to each ``y`` with
+    ``c -> y`` in factor ``i``.
     """
-    if not 0 <= world < model.frame.worlds:
+    if not 0 <= world < model.codec.worlds:
         raise ValueError(f"unknown world {world}")
     kind = f.kind
     if kind == BOT:
@@ -539,38 +509,40 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     if kind == IMP:
         return ((not check_naive(model, world, f.children[0]))
                 or check_naive(model, world, f.children[1]))
-    if f.idx > model.frame.arity:
+    if f.idx > len(model.factors):
         raise ModalityError(
-            f"box index {f.idx} exceeds frame arity {model.frame.arity}")
-    return all(check_naive(model, y, f.children[0])
-               for y in model.frame.succs[f.idx - 1][world])
+            f"box index {f.idx} exceeds frame arity {len(model.factors)}")
+    factor = model.factors[f.idx - 1]
+    stride = model.codec.strides[f.idx - 1]
+    c = world // stride % factor.worlds
+    return all(check_naive(model, world + (y - c) * stride, f.children[0])
+               for y in factor.succ[c])
 
 
-def bounded_reach(frame: NFrame, start: int, k: int,
+def bounded_reach(plan: ShiftPlan, start: int, k: int,
                   dims: Iterable[int]) -> frozenset[int]:
     """Worlds reachable from ``start`` in at most ``k`` steps along ``dims``.
 
     ``dims`` is a set of 1-based modality indices; ``dims = 1..n`` gives full
     bounded reachability, ``dims = 2..n`` the first-coordinate-preserving
-    variant.
+    variant.  Each step moves the whole frontier mask along every offset of
+    the chosen relations at once.
     """
     dims = sorted(set(dims))
     for d in dims:
-        if not 1 <= d <= frame.arity:
-            raise ValueError(f"dimension {d} outside 1..{frame.arity}")
-    if not 0 <= start < frame.worlds:
+        if not 1 <= d <= plan.arity:
+            raise ValueError(f"dimension {d} outside 1..{plan.arity}")
+    if not 0 <= start < plan.worlds:
         raise ValueError(f"unknown world {start}")
-    seen = {start}
-    frontier = [start]
+    steps = [step for d in dims for step in plan.steps[d - 1]]
+    seen = frontier = 1 << start
     for _ in range(k):
-        new: list[int] = []
-        for w in frontier:
-            for d in dims:
-                for y in frame.succs[d - 1][w]:
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-        if not new:
+        moved = 0
+        for d, sources in steps:
+            out = frontier & sources
+            moved |= out << d if d >= 0 else out >> -d
+        frontier = moved & ~seen
+        if not frontier:
             break
-        frontier = new
-    return frozenset(seen)
+        seen |= frontier
+    return _worlds(seen)

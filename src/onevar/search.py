@@ -16,6 +16,7 @@ never an artifact of the bitmask checker.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
@@ -103,9 +104,14 @@ def _closure_family(size: int, close: Callable) -> list[Frame1]:
     return [seen[e] for e in sorted(seen)]
 
 
+@functools.cache
 def enumerate_frames(cls: FactorClass, size: int) -> tuple[Frame1, ...]:
     """All frames of the class with exactly ``size`` worlds, in a
-    deterministic order."""
+    deterministic order.
+
+    Cached: every search over the same class and size reuses one tuple of
+    (immutable) frames.
+    """
     if size < 1:
         raise ValueError("frame size must be >= 1")
     if cls is FactorClass.K:
@@ -266,13 +272,12 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
             if deadline is not None and time.monotonic() > deadline:
                 return BUDGET_EXHAUSTED, stats
             stats["frames-checked"] += 1
-            frame = product(factors)
+            plan = tiled = product(factors)
             if shared is None:
                 complete = False
                 blocks = _sampled_blocks(n, var_list, budget)
             else:
                 blocks = shared
-            plan = tiled = frame.shift_plan()
             for lanes, masks in blocks:
                 if tiled.worlds != lanes * n:
                     tiled = plan.tiled(lanes)
@@ -288,7 +293,7 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                         factors,
                         {var: [w for w in range(n) if mask >> first + w & 1]
                          for var, mask in masks.items()},
-                        point, frame)
+                        point, plan)
                     # a returned countermodel is never unverified
                     if check_naive(witness, point, f):
                         raise CheckerDisagreement(

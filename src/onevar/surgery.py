@@ -186,7 +186,7 @@ def build_transfer(base: ProductModel, f: Formula,
     model = ProductModel(factors, {0: marked}, base.point)
     # the original first-factor worlds come first, so every base world keeps
     # its index
-    base_points = frozenset(range(base.frame.worlds))
+    base_points = frozenset(range(base.codec.worlds))
 
     refuted = not check(model, model.point, ctx.reduce(f))
     guarded = check(model, model.point, ctx.uniform_guard())
@@ -232,7 +232,7 @@ def check_marker_agreement(result: TransferResult, base: ProductModel,
     violations = []
     checked = 0
     model = result.model
-    for bw in range(base.frame.worlds):
+    for bw in range(base.codec.worlds):
         for k in range(1, ctx.var_limit + 1):
             got = check(model, bw, ctx.var_marker(k))
             want = bw in base.valuation.get(k, frozenset())
@@ -263,7 +263,7 @@ def check_marker_exactness(result: TransferResult,
             violations.append(("extra", model.coords_of(w),
                                gp.label if gp else "base?"))
     return SurgeryReport("marker-exactness",
-                         model.frame.worlds, tuple(violations))
+                         model.codec.worlds, tuple(violations))
 
 
 @dataclass
@@ -382,7 +382,7 @@ def check_subformula_preservation(base: ProductModel,
     checked = 0
     for sub in subformulas(f):
         lowered = ctx.lower(sub)
-        for bw in range(base.frame.worlds):
+        for bw in range(base.codec.worlds):
             checked += 1
             if check(base, bw, sub) != check(model, bw, lowered):
                 violations.append((base.coords_of(bw), sub.uid))

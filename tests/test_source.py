@@ -28,15 +28,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _called_name(node) -> str | None:
+    """Name of the function a call node calls, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
 def _codec_use(node) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr == "tags"
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else \
-        getattr(func, "id", None)
-    return name == "CoordinateCodec"
+    return _called_name(node) == "CoordinateCodec"
 
 
 def test_world_numbering_stays_in_kripke():
@@ -49,6 +53,23 @@ def test_world_numbering_stays_in_kripke():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _codec_use(node)]
+    assert found == []
+
+
+def test_naive_oracle_reads_the_factors():
+    # check_naive decodes the product definition from the factors itself;
+    # if it read the plan (or built one) it would share the fast checker's
+    # encoding of the relation, and a bug there could not show up in any
+    # differential test
+    path = ROOT / "src" / "onevar" / "kripke.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    oracle = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "check_naive")
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(oracle)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("frame", "steps", "succs")
+             or _called_name(node) in ("product", "sat_mask")]
     assert found == []
 
 
