@@ -12,9 +12,13 @@ using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
 mask per variable.  The plan groups each relation's edges ``w -> y`` by
 their offset ``d = y - w``, so the box step costs a few big-integer shifts
 per distinct offset instead of a loop over the worlds.  Offsets survive
-disjoint copies of a frame, so one pass over a plan tiled with
-:meth:`ShiftPlan.tiled` evaluates one valuation per copy at once (bit-sliced
-valuations, as in Biham's bitsliced DES, FSE 1997).  :func:`check_naive` is
+disjoint copies of a frame, so one pass over the plan of many copies
+evaluates one valuation per copy at once (bit-sliced valuations, as in
+Biham's bitsliced DES, FSE 1997), and the copies need not share a frame:
+:class:`LaneLayout` lays out the products of one frame per
+:class:`FrameList`, each under the same valuations, as lanes, and builds
+the plan of any block of lanes from each edge's frame mask, by the builder
+behind :func:`product`.  :func:`check_naive` is
 an independent oracle: a direct recursive evaluator with no sharing and no
 caching that reads the factors, not the plan, kept deliberately separate so
 the two can be differenced against each other.
@@ -22,6 +26,7 @@ the two can be differenced against each other.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, Formula,
@@ -160,39 +165,63 @@ def ladder(k: int) -> Frame1:
 
 
 def repunit(step: int, count: int) -> int:
-    """``count`` one bits spaced ``step`` bits apart, the lowest at bit 0."""
-    return ((1 << step * count) - 1) // ((1 << step) - 1)
+    """``count`` one bits spaced ``step`` bits apart, the lowest at bit 0.
+
+    Built by doubling, in time linear in ``step * count``: dividing
+    ``2**(step*count) - 1`` by ``2**step - 1`` is a schoolbook division
+    once ``step`` spans several machine words.
+    """
+    ones = have = 0
+    for bit in bin(count)[2:]:  # highest bit first
+        ones |= ones << have * step
+        have *= 2
+        if bit == "1":
+            ones = ones << step | 1
+            have += 1
+    return ones
+
+
+# ASCII "0"/"1" to bytes 0/1, for the byte-level spread below
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _runs(bits: int, step: int, count: int) -> int:
+    """Bit ``j`` of ``bits`` widened to bits ``j*step .. j*step + step - 1``,
+    for ``j < count``.
+
+    Linear in ``step * count``: when ``step`` is a whole number of bytes, a
+    strided byte copy moves bit ``j`` to bit ``j * step``; otherwise
+    ``step - 1`` zero digits go between the binary digits.  One subtraction
+    then fills each run.
+    """
+    digits = format(bits & (1 << count) - 1, f"0{count}b")
+    if step % 8:
+        starts = int(("0" * (step - 1)).join(digits), 2)
+    else:
+        spread = bytearray(count * step // 8)
+        spread[::step // 8] = digits[::-1].encode().translate(_BIT_BYTES)
+        starts = int.from_bytes(spread, "little")
+    return (starts << step) - starts
 
 
 class ShiftPlan:
     """A frame's relations as edge offsets, the form :func:`sat_mask` reads
-    and the one product-frame type (:func:`product` builds it).
+    and the one product-frame type (:func:`product` and
+    :meth:`LaneLayout.plan` build it).
 
     ``steps[i]`` lists, for modality ``i + 1``, one ``(d, sources)`` pair per
     offset ``d`` in increasing order: ``sources`` is the mask of the worlds
-    ``w`` with an edge ``w -> w + d``.
+    ``w`` with an edge ``w -> w + d``.  The rows are stored as given, so
+    callers pass tuples.
     """
 
     __slots__ = ("arity", "worlds", "steps")
 
     def __init__(self, arity: int, worlds: int,
-                 steps: Sequence[Sequence[tuple[int, int]]]):
+                 steps: tuple[tuple[tuple[int, int], ...], ...]):
         self.arity = arity
         self.worlds = worlds
-        self.steps = tuple(tuple(row) for row in steps)
-
-    def tiled(self, copies: int) -> "ShiftPlan":
-        """Plan of ``copies`` disjoint copies of the frame, copy ``c`` on
-        worlds ``c*n .. c*n + n - 1`` for ``n`` worlds.
-
-        An edge keeps its offset in every copy, so each source mask is
-        repeated once per copy by multiplying it with the repunit that has
-        one bit at the start of each copy.
-        """
-        ones = repunit(self.worlds, copies)
-        return ShiftPlan(self.arity, self.worlds * copies,
-                         [[(d, sources * ones) for d, sources in row]
-                          for row in self.steps])
+        self.steps = steps
 
 
 class CoordinateCodec:
@@ -239,30 +268,158 @@ class CoordinateCodec:
                      for stride, size in zip(self.strides, self.sizes))
 
 
+def _plan(codec: CoordinateCodec, lanes: int,
+          cells: Sequence[Iterable[tuple[tuple[int, int], int]]]
+          ) -> ShiftPlan:
+    """The plan of ``lanes`` disjoint copies of the product numbered by
+    ``codec``, copy ``l`` on worlds ``l*n .. l*n + n - 1`` for ``n`` worlds.
+
+    ``cells[i]`` pairs each edge ``x -> y`` of factor ``i`` with the mask of
+    the copies that have it (at least one), one bit at the first world of
+    each.  The edge
+    is offset ``(y - x) * strides[i]``, and in a copy its sources are the
+    worlds whose coordinate ``i`` is ``x``: runs of ``strides[i]`` worlds
+    from ``x * strides[i]`` on, repeated every ``size_i * strides[i]``
+    worlds.  So the cost is one big-integer product and OR per edge,
+    whatever the number of worlds.
+    """
+    steps = []
+    for edges, size, stride in zip(cells, codec.sizes, codec.strides):
+        period = size * stride
+        # the worlds of one copy whose coordinate on this factor is 0
+        column = ((1 << stride) - 1) * repunit(period, codec.worlds // period)
+        sources: dict[int, int] = {}
+        for (x, y), copies in edges:
+            part = column << x * stride
+            if copies != 1:  # more copies than the one product() asks for
+                part *= copies
+            d = (y - x) * stride
+            sources[d] = sources.get(d, 0) | part
+        steps.append(tuple(sorted(sources.items())))
+    return ShiftPlan(len(cells), codec.worlds * lanes, tuple(steps))
+
+
 def product(factors: Sequence[Frame1]) -> ShiftPlan:
     """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
-    coordinate ``i`` along the i-th factor's relation.
-
-    Factor ``i``'s edge ``x -> y`` is offset ``(y - x) * strides[i]``, and
-    its sources are the worlds whose coordinate ``i`` is ``x``: runs of
-    ``strides[i]`` worlds from ``x * strides[i]`` on, repeated every
-    ``size_i * strides[i]`` worlds.  So the cost is one big-integer OR per
-    factor edge, whatever the number of product worlds.
+    coordinate ``i`` along the i-th factor's relation.  It is the one-copy
+    case of the plan builder behind :meth:`LaneLayout.plan`.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
-    codec = CoordinateCodec(f.worlds for f in factors)
-    steps = []
-    for factor, stride in zip(factors, codec.strides):
-        period = factor.worlds * stride
-        # the worlds whose coordinate on this factor is 0
-        column = ((1 << stride) - 1) * repunit(period, codec.worlds // period)
-        sources: dict[int, int] = {}
-        for x, y in factor.edges:
-            d = (y - x) * stride
-            sources[d] = sources.get(d, 0) | column << x * stride
-        steps.append(sorted(sources.items()))
-    return ShiftPlan(len(factors), codec.worlds, steps)
+    return _plan(CoordinateCodec(f.worlds for f in factors), 1,
+                 [zip(f.edges, itertools.repeat(1)) for f in factors])
+
+
+class FrameList:
+    """Frames of one size in a fixed order, and for each edge the frames
+    that have it: bit ``j`` of ``edges[(x, y)]`` is set when ``frames[j]``
+    has the edge ``x -> y``."""
+
+    __slots__ = ("frames", "worlds", "edges")
+
+    def __init__(self, frames: Iterable[Frame1]):
+        self.frames = tuple(frames)
+        if not self.frames:
+            raise ValueError("a frame list needs at least one frame")
+        self.worlds = self.frames[0].worlds
+        edges: dict[tuple[int, int], int] = {}
+        for j, frame in enumerate(self.frames):
+            if frame.worlds != self.worlds:
+                raise ValueError("the frames of a list share one size")
+            for edge in frame.edges:
+                edges[edge] = edges.get(edge, 0) | 1 << j
+        self.edges = edges
+
+
+class LaneLayout:
+    """The lanes of a sweep over the products of one frame from each list,
+    each product checked under the same ``valuations`` valuations.
+
+    Frame ``k`` is the ``k``-th product in :func:`itertools.product` order
+    of the lists (the last list varies fastest), and lane ``k*V + v`` holds
+    valuation ``v`` of frame ``k``: frame-major, then valuation, with ``n``
+    world bits per lane.  :meth:`plan` builds the :class:`ShiftPlan` of a
+    run of lanes, which :func:`sat_mask` checks in one pass (frames as
+    lanes, as valuations are lanes of one frame: bit-sliced, after Biham's
+    bitsliced DES, FSE 1997).
+    """
+
+    __slots__ = ("lists", "valuations", "codec", "frames", "_members",
+                 "_starts")
+
+    def __init__(self, lists: Sequence[FrameList], valuations: int):
+        if not lists:
+            raise ValueError("a product needs at least one factor")
+        if valuations < 1:
+            raise ValueError("a frame needs at least one valuation")
+        self.lists = tuple(lists)
+        self.valuations = valuations
+        self.codec = CoordinateCodec(lst.worlds for lst in self.lists)
+        self.frames = 1
+        for lst in self.lists:
+            self.frames *= len(lst.frames)
+        # _members[i][edge]: bit k set when factor i of frame k has the edge.
+        # List i's frame j is factor i of runs of ``below`` consecutive
+        # frames, one run every ``len(list) * below`` frames.
+        self._members = []
+        below = 1
+        for lst in reversed(self.lists):
+            period = len(lst.frames) * below
+            repeat = repunit(period, self.frames // period)
+            members = {}
+            for edge, mask in lst.edges.items():
+                members[edge] = _runs(mask, below, len(lst.frames)) * repeat
+            self._members.append(members)
+            below = period
+        self._members.reverse()
+        # lane starts by (frames of the run with an edge, lanes in the run)
+        self._starts: dict[tuple[int, int], int] = {}
+
+    def factors(self, frame: int) -> tuple[Frame1, ...]:
+        """The factors of frame ``frame``."""
+        out = []
+        for lst in reversed(self.lists):
+            frame, j = divmod(frame, len(lst.frames))
+            out.append(lst.frames[j])
+        return tuple(reversed(out))
+
+    def plan(self, first: int, count: int) -> ShiftPlan:
+        """The plan of lanes ``first .. first + count - 1``, lane ``first +
+        l`` on worlds ``l*n .. l*n + n - 1``.
+
+        The run lies inside one frame or covers whole frames.  Each edge's
+        frames in the run are widened to their runs of lanes, and one
+        division by ``2**n - 1`` leaves one bit at the first world of each
+        lane, so the cost is linear in the run's bits per edge.  Runs of
+        frames recur from block to block, so their lane starts are kept.
+        """
+        frame, lane = divmod(first, self.valuations)
+        if lane + count <= self.valuations:
+            width, frames = count, 1
+        elif lane == 0 and count % self.valuations == 0:
+            width, frames = self.valuations, count // self.valuations
+        else:
+            raise ValueError("a run of lanes lies inside one frame or "
+                             "covers whole frames")
+        if count < 1 or first < 0 or frame + frames > self.frames:
+            raise ValueError(f"no run of lanes {first}..{first + count - 1} "
+                             f"in the sweep")
+        n = self.codec.worlds
+        bits = width * n  # the bits of one frame's lanes in the run
+        low = (1 << frames) - 1
+
+        def lane_starts(members: int) -> int:
+            key = (members >> frame & low, count)
+            starts = self._starts.get(key)
+            if starts is None:
+                starts = _runs(key[0], bits, frames) // ((1 << n) - 1)
+                self._starts[key] = starts
+            return starts
+
+        return _plan(self.codec, count,
+                     [[(edge, starts) for edge, members in by_edge.items()
+                       if (starts := lane_starts(members))]
+                      for by_edge in self._members])
 
 
 def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
@@ -418,8 +575,9 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
     """Worlds of ``plan`` where ``f`` holds, as a bitmask (bit ``w`` for
     world ``w``).
 
-    ``plan`` may be tiled: over ``V`` copies, bits ``v*n .. v*n + n - 1`` of
-    every mask hold copy ``v``, so one call evaluates ``V`` valuations.
+    ``plan`` may hold lanes (:meth:`LaneLayout.plan`): over ``L`` lanes of
+    ``n`` worlds, bits ``l*n .. l*n + n - 1`` of every mask hold lane ``l``,
+    so one call evaluates ``L`` (frame, valuation) pairs.
     ``var_masks`` maps variable indices to world masks; variables without an
     entry are false everywhere.  ``cache`` maps formula uids to masks already
     computed under the same plan and masks, and is filled in; pass ``{}``

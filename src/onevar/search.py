@@ -5,10 +5,12 @@ Everything here is deterministic given a seed.  Frames are enumerated in
 canonical adjacency order without isomorphism rejection (duplicates are
 affordable at these sizes), valuations exhaustively while the assignment
 space is at most ``2**EXHAUSTIVE_VALUATION_BITS`` and by seeded sampling
-beyond that.  Valuations are checked in blocks of at most
-``2**BLOCK_BITS``: a block lays its valuations side by side as disjoint
-copies of the frame, one copy per valuation, and one bitmask pass over the
-tiled shift plan evaluates them all.  Every countermodel the search returns
+beyond that.  Every frame of a size is checked under the same
+valuations, so the (frame, valuation) pairs of a size are lanes laid out
+frame-major (:class:`~onevar.kripke.LaneLayout`), and one bitmask pass over
+a block's shift plan checks up to ``2**BLOCK_BITS`` lanes: whole frames
+while a frame's valuations fit in a block, slices of one frame beyond
+that.  Every countermodel the search returns
 has been re-checked with the independent naive evaluator, so a result is
 never an artifact of the bitmask checker.
 """
@@ -26,9 +28,10 @@ from typing import Callable, Iterator, Sequence
 
 from onevar.formulas import Formula, FormulaStore, parse, variables
 # sat_set is unused here; perfbench/tracer.py patches onevar.search.sat_set
-from onevar.kripke import (Frame1, ProductModel, check_naive, product,
-                           reflexive_closure, repunit, sat_mask, sat_set,
-                           symmetric_closure, transitive_closure)
+from onevar.kripke import (Frame1, FrameList, LaneLayout, ProductModel,
+                           check_naive, product, reflexive_closure, repunit,
+                           sat_mask, sat_set, symmetric_closure,
+                           transitive_closure)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, build_extraction, build_transfer,
                             check_kept_points_marked, check_marker_agreement,
@@ -39,7 +42,7 @@ from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VariantConfig)
 
 EXHAUSTIVE_VALUATION_BITS = 18
-BLOCK_BITS = 12  # a valuation block holds at most 2**BLOCK_BITS valuations
+BLOCK_BITS = 12  # a block holds at most 2**BLOCK_BITS (frame, valuation) lanes
 
 
 class FactorClass(str, enum.Enum):
@@ -137,8 +140,8 @@ class SearchBudget:
     ``max_valuations`` seeded samples are drawn, unless ``exhaustive`` is
     set, in which case sampling is refused and the search raises instead of
     silently weakening a none-within-bounds certificate.  ``time_limit``
-    (seconds) is checked before each frame and after each valuation block
-    of at most ``2**BLOCK_BITS`` valuations.
+    (seconds) is checked before each block of up to ``2**BLOCK_BITS``
+    (frame, valuation) lanes.
     """
 
     max_worlds_per_factor: int = 3
@@ -214,11 +217,12 @@ def _exhaustive_blocks(n_worlds: int, var_list: list[int]
 
 
 def _sampled_blocks(n_worlds: int, var_list: list[int], budget: SearchBudget
-                    ) -> Iterator[tuple[int, dict[int, int]]]:
+                    ) -> list[tuple[int, dict[int, int]]]:
     """``budget.max_valuations`` seeded valuations in blocks, laid out as in
     :func:`_exhaustive_blocks`; each valuation draws one world mask per
-    variable, in ``var_list`` order."""
+    variable, in ``var_list`` order.  Every frame is checked under these."""
     rng = random.Random(budget.seed)
+    blocks = []
     left = budget.max_valuations
     while left:
         lanes = min(left, 1 << BLOCK_BITS)
@@ -226,8 +230,43 @@ def _sampled_blocks(n_worlds: int, var_list: list[int], budget: SearchBudget
         for lane in range(lanes):
             for var in var_list:
                 masks[var] |= rng.getrandbits(n_worlds) << lane * n_worlds
-        yield lanes, masks
+        blocks.append((lanes, masks))
         left -= lanes
+    return blocks
+
+
+@functools.cache
+def _frame_list(cls: FactorClass, size: int) -> FrameList:
+    return FrameList(enumerate_frames(cls, size))
+
+
+def _lane_blocks(frames: int, valuations: list[tuple[int, dict[int, int]]],
+                 n_worlds: int) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """The blocks of a sweep over ``frames`` frames, each checked under the
+    valuation blocks ``valuations``, as ``(first lane, lanes, {var: block
+    mask})`` in lane order (see :class:`LaneLayout`).
+
+    While a frame's valuations fit in one block, a block holds as many
+    whole frames as fit, each with a copy of the valuation masks; otherwise
+    each valuation block of each frame is a block.
+    """
+    if len(valuations) > 1:
+        first = 0
+        for _ in range(frames):
+            for lanes, masks in valuations:
+                yield first, lanes, masks
+                first += lanes
+        return
+    [(lanes, masks)] = valuations
+    per_block = (1 << BLOCK_BITS) // lanes
+    copies = repunit(lanes * n_worlds, per_block)
+    tiled = {var: mask * copies for var, mask in masks.items()}
+    for frame in range(0, frames, per_block):
+        count = min(per_block, frames - frame) * lanes
+        if count < per_block * lanes:
+            tiled = {var: mask & (1 << count * n_worlds) - 1
+                     for var, mask in tiled.items()}
+        yield frame * lanes, count, tiled
 
 
 class CheckerDisagreement(RuntimeError):
@@ -239,10 +278,11 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     """Core enumeration; calls ``on_found`` with each verified countermodel.
 
     ``on_found`` returns True to stop the search.  Returns the final status
-    (ignoring finds; the caller tracks those) and statistics.  Valuations
-    are evaluated a block at a time; a model is built only for a refutation.
-    Refutations are taken lowest valuation first and, per valuation, at the
-    lowest refuting world, as a one-valuation-at-a-time sweep meets them.
+    (ignoring finds; the caller tracks those) and statistics, both counters
+    read off the lane index.  (frame, valuation) lanes are evaluated a
+    block at a time; a model is built only for a refutation.  Refutations
+    are taken lowest lane (frame, then valuation) first and, per lane, at
+    the lowest refuting world, as a one-model-at-a-time sweep meets them.
     """
     arity = len(classes)
     limits = [budget.factor_limit(i, arity) for i in range(arity)]
@@ -264,46 +304,45 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     complete = True
     for sizes in _size_vectors(arity, limits):
         n = math.prod(sizes)
-        shared = (_exhaustive_blocks(n, var_list)
-                  if n * len(var_list) <= EXHAUSTIVE_VALUATION_BITS else None)
-        frame_lists = [enumerate_frames(cls, s)
-                       for cls, s in zip(classes, sizes)]
-        for factors in itertools.product(*frame_lists):
+        if n * len(var_list) <= EXHAUSTIVE_VALUATION_BITS:
+            valuations = _exhaustive_blocks(n, var_list)
+        else:
+            complete = False
+            valuations = _sampled_blocks(n, var_list, budget)
+        per_frame = sum(lanes for lanes, _ in valuations)
+        layout = LaneLayout([_frame_list(cls, s)
+                             for cls, s in zip(classes, sizes)], per_frame)
+        models, frames = stats["models-checked"], stats["frames-checked"]
+        for first, lanes, masks in _lane_blocks(layout.frames, valuations, n):
             if deadline is not None and time.monotonic() > deadline:
+                stats["models-checked"] = models + first
+                # the frames begun, the last perhaps in part
+                stats["frames-checked"] = frames + -(-first // per_frame)
                 return BUDGET_EXHAUSTED, stats
-            stats["frames-checked"] += 1
-            plan = tiled = product(factors)
-            if shared is None:
-                complete = False
-                blocks = _sampled_blocks(n, var_list, budget)
-            else:
-                blocks = shared
-            for lanes, masks in blocks:
-                if tiled.worlds != lanes * n:
-                    tiled = plan.tiled(lanes)
-                checked = stats["models-checked"]
-                sat = sat_mask(tiled, masks, f, {})
-                refuting = ((1 << tiled.worlds) - 1) & ~sat
-                while refuting:
-                    lane, point = divmod(
-                        (refuting & -refuting).bit_length() - 1, n)
-                    first = lane * n
-                    stats["models-checked"] = checked + lane + 1
-                    witness = ProductModel(
-                        factors,
-                        {var: [w for w in range(n) if mask >> first + w & 1]
-                         for var, mask in masks.items()},
-                        point, plan)
-                    # a returned countermodel is never unverified
-                    if check_naive(witness, point, f):
-                        raise CheckerDisagreement(
-                            "bitmask checker and naive evaluator disagree")
-                    if on_found(witness):
-                        return FOUND, stats
-                    refuting &= -1 << first + n  # skip the rest of this lane
-                stats["models-checked"] = checked + lanes
-                if deadline is not None and time.monotonic() > deadline:
-                    return BUDGET_EXHAUSTED, stats
+            plan = layout.plan(first, lanes)
+            refuting = ((1 << plan.worlds) - 1) & ~sat_mask(plan, masks, f, {})
+            while refuting:
+                lane, point = divmod(
+                    (refuting & -refuting).bit_length() - 1, n)
+                start = lane * n
+                frame = (first + lane) // per_frame
+                stats["models-checked"] = models + first + lane + 1
+                stats["frames-checked"] = frames + frame + 1
+                factors = layout.factors(frame)
+                witness = ProductModel(
+                    factors,
+                    {var: [w for w in range(n) if mask >> start + w & 1]
+                     for var, mask in masks.items()},
+                    point, product(factors))
+                # a returned countermodel is never unverified
+                if check_naive(witness, point, f):
+                    raise CheckerDisagreement(
+                        "bitmask checker and naive evaluator disagree")
+                if on_found(witness):
+                    return FOUND, stats
+                refuting &= -1 << start + n  # skip the rest of this lane
+        stats["models-checked"] = models + layout.frames * per_frame
+        stats["frames-checked"] = frames + layout.frames
     return (NONE_WITHIN_BOUNDS if complete else BUDGET_EXHAUSTED), stats
 
 

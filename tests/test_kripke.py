@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onevar.formulas import FormulaStore, box_upto
-from onevar.kripke import (CoordinateCodec, Frame1, ModelFormatError,
-                           ProductModel, bounded_reach, check, check_naive,
-                           ladder, product, reflexive_closure, restrict,
+from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
+                           ModelFormatError, ProductModel, ShiftPlan,
+                           bounded_reach, check, check_naive, ladder,
+                           product, reflexive_closure, repunit, restrict,
                            sat_mask, sat_set, symmetric_closure,
                            transitive_closure)
+from onevar.search import BLOCK_BITS, FactorClass, enumerate_frames
 from tests.test_formulas import random_formula
 
 
@@ -26,6 +28,16 @@ def relation(plan, modality):
     plan's offsets."""
     return sorted((w, w + d) for d, sources in plan.steps[modality - 1]
                   for w in range(plan.worlds) if sources >> w & 1)
+
+
+def tiled(plan, copies):
+    """``copies`` disjoint copies of a plan, copy ``c`` on worlds ``c*n ..
+    c*n + n - 1``: each source mask repeated at the start of every copy."""
+    n = plan.worlds
+    ones = int(("0" * (n - 1) + "1") * copies, 2)
+    return ShiftPlan(plan.arity, n * copies,
+                     tuple(tuple((d, sources * ones) for d, sources in row)
+                           for row in plan.steps))
 
 
 def definition(factors, modality):
@@ -184,6 +196,77 @@ class TestProduct:
             for a, b in definition(factors, i):
                 sources[b - a] = sources.get(b - a, 0) | 1 << a
             assert list(row) == sorted(sources.items())
+
+
+class TestRepunit:
+    def test_matches_the_division_formula(self):
+        for step in range(1, 71):
+            for count in range(71):
+                assert repunit(step, count) == \
+                    ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+class TestLaneLayout:
+    @staticmethod
+    def runs(frames, valuations):
+        """The runs of lanes the search checks as blocks: whole frames while
+        a frame's valuations fit in a block, else block-sized slices of one
+        frame."""
+        block = 1 << BLOCK_BITS
+        if valuations > block:
+            return [(k * valuations + v, min(block, valuations - v))
+                    for k in range(frames) for v in range(0, valuations, block)]
+        per = block // valuations
+        return [(k * valuations, min(per, frames - k) * valuations)
+                for k in range(0, frames, per)]
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_block_plan_is_the_lanes_of_its_frames(self, data):
+        # a block's plan is the OR of its frames' plans, each tiled over the
+        # frame's lanes in the block and shifted to the first of them;
+        # frames run in itertools.product order of the lists
+        lists = [enumerate_frames(data.draw(st.sampled_from(list(FactorClass))),
+                                  data.draw(st.integers(1, 3)))
+                 for _ in range(data.draw(st.integers(1, 2)))]
+        valuations = data.draw(st.sampled_from([1, 2, 8, 512, 5000]))
+        layout = LaneLayout([FrameList(lst) for lst in lists], valuations)
+        frames = 1
+        for lst in lists:
+            frames *= len(lst)
+        assert layout.frames == frames
+        runs = self.runs(frames, valuations)
+        # the first run, the last (often short) and one more
+        picks = {0, len(runs) - 1,
+                 data.draw(st.integers(0, len(runs) - 1))}
+        n = layout.codec.worlds
+        for first, count in (runs[i] for i in sorted(picks)):
+            expected = [{} for _ in lists]
+            products = itertools.islice(itertools.product(*lists),
+                                        first // valuations, None)
+            lane = first
+            while lane < first + count:
+                k, v = divmod(lane, valuations)
+                width = min(valuations - v, first + count - lane)
+                factors = next(products)
+                assert layout.factors(k) == factors
+                plan = tiled(product(factors), width)
+                for row, sources in zip(plan.steps, expected):
+                    for d, mask in row:
+                        sources[d] = (sources.get(d, 0)
+                                      | mask << (lane - first) * n)
+                lane += width
+            plan = layout.plan(first, count)
+            assert plan.worlds == count * n
+            assert plan.steps == tuple(tuple(sorted(sources.items()))
+                                       for sources in expected)
+
+    def test_runs_across_frames_must_cover_them(self):
+        chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
+        layout = LaneLayout([FrameList([chain, chain])], 4)
+        for first, count in ((2, 4), (0, 6), (0, 0), (4, 8)):
+            with pytest.raises(ValueError):
+                layout.plan(first, count)
 
 
 class TestCoordinateCodec:
@@ -363,7 +446,9 @@ class TestDifferential:
         block = {v: sum(val[v] << lane * n
                         for lane, val in enumerate(valuations))
                  for v in range(1, 4)}
-        plan = frame.tiled(len(valuations))
+        plan = LaneLayout([FrameList([factor]) for factor in factors],
+                          len(valuations)).plan(0, len(valuations))
+        assert plan.steps == tiled(frame, len(valuations)).steps
         lanes = sat_mask(plan, block, f, {})
         assert lanes >> n * len(valuations) == 0
         for lane, val in enumerate(valuations):

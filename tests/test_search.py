@@ -217,6 +217,35 @@ class TestSearch:
         doc = json.dumps([m.to_json() for m in found]).encode()
         assert hashlib.sha256(doc).hexdigest().startswith("3276bcde7ae5e74d")
 
+    def test_find_all_order_across_frame_blocks_pinned(self, store):
+        # up to 4096 // V whole frames share a block, S4 and S5 frame counts
+        # are not powers of two, and blocks end short; the lists (in order)
+        # are those of the frame-by-frame sweep
+        S4, S5, K = FactorClass.S4, FactorClass.S5, FactorClass.K
+        for text, classes, count, digest in (
+                ("p1 -> [1][2]p1", (S4, FactorClass.T), 6240,
+                 "a87212a4972c7749"),
+                ("<1>p1 -> [1]p1", (S5, K), 3496, "965f87d1977f0447")):
+            found, status = find_all_countermodels(
+                parse(text, 2, store), classes,
+                SearchBudget(per_factor_max=(3, 2)))
+            assert status == "none-within-bounds"
+            assert len(found) == count, text
+            doc = json.dumps([m.to_json() for m in found]).encode()
+            assert hashlib.sha256(doc).hexdigest().startswith(digest), text
+
+    def test_reduction_witness_counters_pinned(self, store):
+        # the first countermodel of reduce(F) over T x T within (4, 1): both
+        # counters are read off the witness's lane, as the frame-by-frame
+        # sweep counted them
+        f = parse("F", 2, store)
+        ctx = TranslationContext.for_formula(store, f, 2, DEFAULT_VARIANT)
+        out = search_countermodel(
+            ctx.reduce(f), TT, SearchBudget(per_factor_max=(4, 1),
+                                            exhaustive=True))
+        assert out.found
+        assert out.stats == {"models-checked": 1773, "frames-checked": 147}
+
     def test_find_all_collects_every_model(self, store):
         f = parse("p1", 2, store)
         found, status = find_all_countermodels(
