@@ -17,8 +17,8 @@ evaluates one valuation per copy at once (bit-sliced valuations, as in
 Biham's bitsliced DES, FSE 1997), and the copies need not share a frame:
 :class:`LaneLayout` lays out the products of one frame per
 :class:`FrameList`, each under the same valuations, as lanes, and builds
-the plan of any block of lanes from each edge's frame mask, by the builder
-behind :func:`product`.  :func:`check_naive` is
+the plan of any block of lanes from each edge's frame mask and its sources
+in one product.  :func:`check_naive` is
 an independent oracle: a direct recursive evaluator with no sharing and no
 caching that reads the factors, not the plan, kept deliberately separate so
 the two can be differenced against each other.
@@ -26,8 +26,8 @@ the two can be differenced against each other.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Mapping, Sequence
+import re
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, Formula,
                              ModalityError, postorder)
@@ -37,14 +37,17 @@ class ModelFormatError(ValueError):
     """Malformed JSON frame or model description."""
 
 
-def _normalize_edges(edges: Iterable[tuple[int, int]], worlds: int,
-                     what: str = "edge") -> tuple[tuple[int, int], ...]:
-    out = set()
-    for a, b in edges:
-        if not (0 <= a < worlds and 0 <= b < worlds):
-            raise ValueError(f"{what} ({a}, {b}) outside worlds 0..{worlds - 1}")
-        out.add((int(a), int(b)))
-    return tuple(sorted(out))
+def _normalize_edges(edges: Iterable[tuple[int, int]],
+                     worlds: int) -> tuple[tuple[int, int], ...]:
+    out = sorted({(a, b) for a, b in edges})
+    # sorted by source, so the sources' range is at the two ends
+    targets = [b for _, b in out]
+    if out and not (0 <= out[0][0] and out[-1][0] < worlds
+                    and 0 <= min(targets) and max(targets) < worlds):
+        a, b = next((a, b) for a, b in out
+                    if not (0 <= a < worlds and 0 <= b < worlds))
+        raise ValueError(f"edge ({a}, {b}) outside worlds 0..{worlds - 1}")
+    return tuple(out)
 
 
 class Frame1:
@@ -66,13 +69,12 @@ class Frame1:
         for a, b in self.edges:
             succ[a].append(b)
         self.succ = tuple(tuple(s) for s in succ)
-        if labels:
-            for name, w in labels.items():
-                if not 0 <= w < worlds:
-                    raise ValueError(f"label {name!r} points at missing world {w}")
-            self.labels = dict(labels)
-        else:
-            self.labels = {}
+        self.labels = dict(labels) if labels else {}
+        points = self.labels.values()
+        if points and not (0 <= min(points) and max(points) < worlds):
+            name, w = next((name, w) for name, w in self.labels.items()
+                           if not 0 <= w < worlds)
+            raise ValueError(f"label {name!r} points at missing world {w}")
 
     @property
     def is_reflexive(self) -> bool:
@@ -100,17 +102,28 @@ class Frame1:
     @classmethod
     def from_json(cls, doc: Mapping) -> "Frame1":
         try:
-            worlds = int(doc["worlds"])
-            edges = [(int(a), int(b)) for a, b in doc["edges"]]
+            worlds = _json_int(doc["worlds"])
+            edges = [(_json_int(a), _json_int(b)) for a, b in doc["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad frame description: {exc}") from exc
         labels = doc.get("labels")
-        if labels is not None and not isinstance(labels, Mapping):
+        if labels is not None and not (
+                isinstance(labels, Mapping)
+                and all(type(w) is int for w in labels.values())):
             raise ModelFormatError("frame labels must map names to worlds")
         try:
             return cls(worlds, edges, labels)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(str(exc)) from exc
+
+
+def _json_int(value) -> int:
+    """A JSON number that must be an integer: floats, strings and bools
+    (``true`` loads as a bool, which Python counts as an int) are rejected
+    rather than truncated or parsed."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def reflexive_closure(edges: Iterable[tuple[int, int]],
@@ -268,46 +281,40 @@ class CoordinateCodec:
                      for stride, size in zip(self.strides, self.sizes))
 
 
-def _plan(codec: CoordinateCodec, lanes: int,
-          cells: Sequence[Iterable[tuple[tuple[int, int], int]]]
-          ) -> ShiftPlan:
-    """The plan of ``lanes`` disjoint copies of the product numbered by
-    ``codec``, copy ``l`` on worlds ``l*n .. l*n + n - 1`` for ``n`` worlds.
-
-    ``cells[i]`` pairs each edge ``x -> y`` of factor ``i`` with the mask of
-    the copies that have it (at least one), one bit at the first world of
-    each.  The edge
-    is offset ``(y - x) * strides[i]``, and in a copy its sources are the
-    worlds whose coordinate ``i`` is ``x``: runs of ``strides[i]`` worlds
-    from ``x * strides[i]`` on, repeated every ``size_i * strides[i]``
-    worlds.  So the cost is one big-integer product and OR per edge,
-    whatever the number of worlds.
-    """
-    steps = []
-    for edges, size, stride in zip(cells, codec.sizes, codec.strides):
+def _zero_columns(codec: CoordinateCodec) -> Iterator[tuple[int, int]]:
+    """Per factor ``i`` of the product numbered by ``codec``: ``strides[i]``
+    and the mask of the worlds whose coordinate ``i`` is 0, runs of
+    ``strides[i]`` worlds repeated every ``size_i * strides[i]`` worlds.
+    Shifted by ``x * strides[i]``, it is the worlds whose coordinate ``i``
+    is ``x``, the sources of factor ``i``'s edges from ``x``."""
+    for size, stride in zip(codec.sizes, codec.strides):
         period = size * stride
-        # the worlds of one copy whose coordinate on this factor is 0
-        column = ((1 << stride) - 1) * repunit(period, codec.worlds // period)
-        sources: dict[int, int] = {}
-        for (x, y), copies in edges:
-            part = column << x * stride
-            if copies != 1:  # more copies than the one product() asks for
-                part *= copies
-            d = (y - x) * stride
-            sources[d] = sources.get(d, 0) | part
-        steps.append(tuple(sorted(sources.items())))
-    return ShiftPlan(len(cells), codec.worlds * lanes, tuple(steps))
+        yield stride, ((1 << stride) - 1) * repunit(period,
+                                                    codec.worlds // period)
 
 
 def product(factors: Sequence[Frame1]) -> ShiftPlan:
     """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
-    coordinate ``i`` along the i-th factor's relation.  It is the one-copy
-    case of the plan builder behind :meth:`LaneLayout.plan`.
+    coordinate ``i`` along the i-th factor's relation.
+
+    Factor ``i``'s edge ``x -> y`` is offset ``(y - x) * strides[i]``, and
+    its sources are the worlds whose coordinate ``i`` is ``x``.  So the
+    cost is one big-integer shift per factor world and one OR per factor
+    edge, whatever the number of product worlds.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
-    return _plan(CoordinateCodec(f.worlds for f in factors), 1,
-                 [zip(f.edges, itertools.repeat(1)) for f in factors])
+    codec = CoordinateCodec(f.worlds for f in factors)
+    steps = []
+    for factor, (stride, column) in zip(factors, _zero_columns(codec)):
+        sources: dict[int, int] = {}
+        for x, targets in enumerate(factor.succ):
+            part = column << x * stride
+            for y in targets:
+                d = (y - x) * stride
+                sources[d] = sources.get(d, 0) | part
+        steps.append(tuple(sorted(sources.items())))
+    return ShiftPlan(len(factors), codec.worlds, tuple(steps))
 
 
 class FrameList:
@@ -390,8 +397,10 @@ class LaneLayout:
         The run lies inside one frame or covers whole frames.  Each edge's
         frames in the run are widened to their runs of lanes, and one
         division by ``2**n - 1`` leaves one bit at the first world of each
-        lane, so the cost is linear in the run's bits per edge.  Runs of
-        frames recur from block to block, so their lane starts are kept.
+        lane.  An edge's sources are then its sources in one product, as
+        :func:`product` finds them, times those lane starts, so the cost is
+        linear in the run's bits per edge.  Runs of frames recur from block
+        to block, so their lane starts are kept.
         """
         frame, lane = divmod(first, self.valuations)
         if lane + count <= self.valuations:
@@ -416,10 +425,18 @@ class LaneLayout:
                 self._starts[key] = starts
             return starts
 
-        return _plan(self.codec, count,
-                     [[(edge, starts) for edge, members in by_edge.items()
-                       if (starts := lane_starts(members))]
-                      for by_edge in self._members])
+        steps = []
+        for by_edge, (stride, column) in zip(self._members,
+                                             _zero_columns(self.codec)):
+            sources: dict[int, int] = {}
+            for (x, y), members in by_edge.items():
+                starts = lane_starts(members)
+                if starts:
+                    d = (y - x) * stride
+                    part = (column << x * stride) * starts
+                    sources[d] = sources.get(d, 0) | part
+            steps.append(tuple(sorted(sources.items())))
+        return ShiftPlan(len(self.lists), n * count, tuple(steps))
 
 
 def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
@@ -444,17 +461,18 @@ def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
 class ProductModel:
     """A product frame with a valuation and a distinguished point.
 
-    ``valuation`` maps variable indices to world-index sets; variables
-    without an entry evaluate as false everywhere.  ``codec`` numbers the
-    worlds by their factor coordinates, and ``frame`` is the product's
-    :class:`ShiftPlan` (built here unless a caller passes the one it already
-    has for the same factors).  The satisfaction cache is
+    ``masks`` maps variable indices to world masks (bit ``w`` for world
+    ``w``), the model's one valuation representation; variables without an
+    entry are false everywhere.  ``codec`` numbers the worlds by their
+    factor coordinates, and ``frame`` is the product's :class:`ShiftPlan`
+    (built here unless a caller passes the one it already has for the same
+    factors).  The constructor takes world-index sets and converts each
+    once; :meth:`from_masks` takes the masks.  The satisfaction cache is
     per-model and keyed by interned formula ids, so repeated checks over the
     shared DAG cost one pass.
     """
 
-    __slots__ = ("factors", "codec", "frame", "valuation", "point",
-                 "_sat_cache", "_var_masks")
+    __slots__ = ("factors", "codec", "frame", "masks", "point", "_sat_cache")
 
     def __init__(self, factors: Sequence[Frame1],
                  valuation: Mapping[int, Iterable[int]],
@@ -462,28 +480,48 @@ class ProductModel:
                  frame: ShiftPlan | None = None):
         self.factors = tuple(factors)
         self.codec = CoordinateCodec(f.worlds for f in self.factors)
+        self.masks = {int(var): _world_mask(var, ws, self.codec.worlds)
+                      for var, ws in valuation.items()}
+        self._place(point, frame)
+
+    @classmethod
+    def from_masks(cls, factors: Sequence[Frame1], masks: Mapping[int, int],
+                   point: int, frame: ShiftPlan | None = None
+                   ) -> "ProductModel":
+        """Build a model from one world mask per variable; rejects a
+        negative mask and a bit at or above the world count."""
+        model = cls.__new__(cls)
+        model.factors = tuple(factors)
+        model.codec = CoordinateCodec(f.worlds for f in model.factors)
+        for var, mask in masks.items():
+            if mask < 0 or mask >> model.codec.worlds:
+                raise ValueError(f"mask of variable {var} has bits outside "
+                                 f"worlds 0..{model.codec.worlds - 1}")
+        model.masks = {int(var): mask for var, mask in masks.items()}
+        model._place(point, frame)
+        return model
+
+    def _place(self, point: int, frame: ShiftPlan | None) -> None:
         if frame is None:
             frame = product(self.factors)
         elif (frame.worlds != self.codec.worlds
               or frame.arity != len(self.factors)):
             raise ValueError("the frame is not the product of the factors")
         self.frame = frame
-        self.valuation: dict[int, frozenset[int]] = {}
-        self._var_masks: dict[int, int] = {}
-        for var, ws in valuation.items():
-            ws = frozenset(int(w) for w in ws)
-            mask = 0
-            for w in ws:
-                if not 0 <= w < self.frame.worlds:
-                    raise ValueError(f"valuation of variable {var} mentions "
-                                     f"missing world {w}")
-                mask |= 1 << w
-            self.valuation[int(var)] = ws
-            self._var_masks[int(var)] = mask
         if not 0 <= point < self.frame.worlds:
             raise ValueError(f"point {point} outside worlds")
         self.point = point
         self._sat_cache: dict[int, int] = {}
+
+    @property
+    def valuation(self) -> dict[int, frozenset[int]]:
+        """The valuation as world-index sets, derived from ``masks`` on each
+        read."""
+        return {var: _worlds(mask) for var, mask in self.masks.items()}
+
+    def sat(self, f: Formula) -> int:
+        """Worlds where ``f`` holds, as a mask, through the model's cache."""
+        return sat_mask(self.frame, self.masks, f, self._sat_cache)
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -517,10 +555,11 @@ class ProductModel:
 
     def to_json(self) -> dict:
         val: dict[str, list] = {}
-        for var in sorted(self.valuation):
+        for var in sorted(self.masks):
             name = "p" if var == 0 else f"p{var}"
-            val[name] = sorted(list(self.coords_of(w))
-                               for w in self.valuation[var])
+            # row-major numbering: increasing worlds, sorted coordinates
+            val[name] = [list(self.coords_of(w))
+                         for w in bit_indices(self.masks[var])]
         return {
             "factors": [f.to_json() for f in self.factors],
             "valuation": val,
@@ -540,12 +579,11 @@ class ProductModel:
                                    "must map variable names to coordinates")
         valuation: dict[int, list] = {}
         for name, coords_list in raw_val.items():
-            if name == "p":
-                var = 0
-            elif name.startswith("p") and name[1:].isdigit() and int(name[1:]) > 0:
-                var = int(name[1:])
-            else:
+            # only the names to_json writes, so no two keys alias one variable
+            match = _VARIABLE_NAME.fullmatch(name)
+            if match is None:
                 raise ModelFormatError(f"bad variable name {name!r}")
+            var = int(match[1] or 0)
             if not isinstance(coords_list, (list, tuple)):
                 raise ModelFormatError(
                     f"valuation of {name!r} must be a list of coordinates")
@@ -556,13 +594,18 @@ class ProductModel:
             raise ModelFormatError(str(exc)) from exc
 
 
+# "p" is variable 0 and "p<n>" variable n >= 1, in decimal without leading
+# zeros
+_VARIABLE_NAME = re.compile(r"p([1-9][0-9]*)?", re.ASCII)
+
+
 def _coords(value) -> tuple[int, ...]:
     """A JSON coordinate list as a tuple of ints."""
     if not isinstance(value, (list, tuple)):
         raise ModelFormatError(f"coordinates must be a list, got {value!r}")
     try:
-        return tuple(int(c) for c in value)
-    except (TypeError, ValueError) as exc:
+        return tuple(_json_int(c) for c in value)
+    except ValueError as exc:
         raise ModelFormatError(f"bad coordinates {value!r}: {exc}") from exc
 
 
@@ -620,25 +663,47 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
     return cache[f.uid]
 
 
+def bit_indices(mask: int) -> list[int]:
+    """The set bits of a non-negative ``mask``, lowest first."""
+    # bin(mask)[:1:-1] lists the bits lowest first; str.find skips the
+    # zeros, so the Python work is one step per set bit
+    digits = bin(mask)[:1:-1]
+    out = []
+    w = digits.find("1")
+    while w >= 0:
+        out.append(w)
+        w = digits.find("1", w + 1)
+    return out
+
+
 def _worlds(mask: int) -> frozenset[int]:
     """The set bits of ``mask``."""
-    # one linear pass: bin(mask)[:1:-1] lists the bits lowest first
-    return frozenset(w for w, bit in enumerate(bin(mask)[:1:-1])
-                     if bit == "1")
+    return frozenset(bit_indices(mask))
+
+
+def _world_mask(var: int, worlds: Iterable[int], count: int) -> int:
+    """The mask of ``worlds``, a valuation of ``var`` over worlds
+    ``0..count-1``, in one linear pass: the binary digits are set in a
+    buffer, highest world first, and parsed once."""
+    digits = bytearray(b"0") * count
+    for w in worlds:
+        if not 0 <= w < count:
+            raise ValueError(f"valuation of variable {var} mentions "
+                             f"missing world {w}")
+        digits[~w] = 49  # ord("1"); digits[-1] is bit 0
+    return int(digits, 2)
 
 
 def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
     """Worlds of the model where ``f`` holds."""
-    return _worlds(sat_mask(model.frame, model._var_masks, f,
-                            model._sat_cache))
+    return _worlds(model.sat(f))
 
 
 def check(model: ProductModel, world: int, f: Formula) -> bool:
     """Truth of ``f`` at one world."""
     if not 0 <= world < model.frame.worlds:
         raise ValueError(f"unknown world {world}")
-    return bool(sat_mask(model.frame, model._var_masks, f,
-                         model._sat_cache) >> world & 1)
+    return bool(model.sat(f) >> world & 1)
 
 
 def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
@@ -657,7 +722,7 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     if kind == BOT:
         return False
     if kind == VAR:
-        return world in model.valuation.get(f.idx, ())
+        return model.masks.get(f.idx, 0) >> world & 1 == 1
     if kind == AND:
         return (check_naive(model, world, f.children[0])
                 and check_naive(model, world, f.children[1]))
@@ -677,9 +742,10 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
                for y in factor.succ[c])
 
 
-def bounded_reach(plan: ShiftPlan, start: int, k: int,
-                  dims: Iterable[int]) -> frozenset[int]:
-    """Worlds reachable from ``start`` in at most ``k`` steps along ``dims``.
+def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,
+                       dims: Iterable[int]) -> int:
+    """Worlds reachable from ``start`` in at most ``k`` steps along ``dims``,
+    as a mask.
 
     ``dims`` is a set of 1-based modality indices; ``dims = 1..n`` gives full
     bounded reachability, ``dims = 2..n`` the first-coordinate-preserving
@@ -703,4 +769,10 @@ def bounded_reach(plan: ShiftPlan, start: int, k: int,
         if not frontier:
             break
         seen |= frontier
-    return _worlds(seen)
+    return seen
+
+
+def bounded_reach(plan: ShiftPlan, start: int, k: int,
+                  dims: Iterable[int]) -> frozenset[int]:
+    """:func:`bounded_reach_mask` as a set of worlds."""
+    return _worlds(bounded_reach_mask(plan, start, k, dims))

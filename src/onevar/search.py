@@ -304,6 +304,7 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     complete = True
     for sizes in _size_vectors(arity, limits):
         n = math.prod(sizes)
+        lane_bits = (1 << n) - 1
         if n * len(var_list) <= EXHAUSTIVE_VALUATION_BITS:
             valuations = _exhaustive_blocks(n, var_list)
         else:
@@ -329,9 +330,9 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                 stats["models-checked"] = models + first + lane + 1
                 stats["frames-checked"] = frames + frame + 1
                 factors = layout.factors(frame)
-                witness = ProductModel(
+                witness = ProductModel.from_masks(
                     factors,
-                    {var: [w for w in range(n) if mask >> start + w & 1]
+                    {var: mask >> start & lane_bits
                      for var, mask in masks.items()},
                     point, product(factors))
                 # a returned countermodel is never unverified

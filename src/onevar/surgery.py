@@ -15,13 +15,16 @@ the constructions rely on (marker/variable agreement at base points, marker
 exactness, marking of all kept reachable points) and return violation
 reports instead of raising, so a miscalibrated variant shows up as data.
 
-Both surgeries change only the first factor, so they work in world indices:
-under the row-major numbering of :class:`~onevar.kripke.CoordinateCodec`,
-``divmod(w, model.codec.strides[0])`` splits a world into its first
-coordinate and its column (the index of the remaining coordinates), and the
-column numbering is the same on both sides of a surgery.  In particular a
-base world keeps its index in the transferred model.  Coordinate tuples
-appear only in reports and JSON output.
+Both surgeries change only the first factor, so they work on world masks
+row by row: under the row-major numbering of
+:class:`~onevar.kripke.CoordinateCodec`, with ``C = model.codec.strides[0]``
+columns (a column is the index of the remaining coordinates), row ``x`` of a
+mask is its bits ``x*C .. x*C + C - 1``, the worlds with first coordinate
+``x``, and the column numbering is the same on both sides of a surgery.
+Transfer lifts each variable's rows onto ladder rungs, extraction carves the
+kept rows back out, and the scans compare masks over the base rows, which
+come first: a base world keeps its index in the transferred model.  World
+lists and coordinate tuples appear only in reports and JSON output.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from onevar.formulas import Formula, subformulas
-from onevar.kripke import (Frame1, ProductModel, bounded_reach, check,
-                           reflexive_closure, restrict, sat_set)
+# sat_set is unused here; perfbench/tracer.py patches it by name
+from onevar.kripke import (Frame1, ProductModel, bit_indices,
+                           bounded_reach_mask, check, repunit, restrict,
+                           sat_set)
 from onevar.translation import TranslationContext
 
 
@@ -61,23 +66,34 @@ class GadgetPoint:
         return f"{self.role}{self.rung}.k{self.ladder}.x{self.base}"
 
 
-def gadget_layout(base_worlds: int, m: int) -> dict[int, GadgetPoint]:
-    """World index of every ladder point :func:`attach_gadgets` adds to a
-    first factor of ``base_worlds`` worlds with variable limit ``m``.
+def copy_start(base_worlds: int, k: int, x: int) -> int:
+    """First world of the ladder-``k`` copy below base world ``x`` in a first
+    factor of ``base_worlds`` worlds extended by :func:`attach_gadgets`.
 
     Gadget worlds follow the base worlds: one copy of each ladder length
     ``k = 1 .. m+1`` per base world, lengths outermost, each copy laid out as
-    ``v0, w0, v1, w1, .., vk, wk``.
+    ``v0, w0, v1, w1, .., vk, wk`` (``2*(k+1)`` worlds).  The copies of the
+    lengths below ``k`` fill ``base_worlds * (k-1) * (k+2)`` worlds, so the
+    one gadget layout is this closed form; ``copy_start(W, m + 2, 0)`` is
+    the world count of the extended factor.
+    """
+    return base_worlds * (1 + (k - 1) * (k + 2)) + 2 * (k + 1) * x
+
+
+def gadget_layout(base_worlds: int, m: int) -> dict[int, GadgetPoint]:
+    """World index of every ladder point :func:`attach_gadgets` adds to a
+    first factor of ``base_worlds`` worlds with variable limit ``m``, by
+    :func:`copy_start`; for reports and tests.
     """
     out: dict[int, GadgetPoint] = {}
-    world = base_worlds
     for k in range(1, m + 2):
         for x in range(base_worlds):
+            world = copy_start(base_worlds, k, x)
             for i in range(k + 1):
-                out[world] = GadgetPoint(ladder=k, base=x, role="v", rung=i)
-                out[world + 1] = GadgetPoint(ladder=k, base=x, role="w",
-                                             rung=i)
-                world += 2
+                out[world + 2 * i] = GadgetPoint(ladder=k, base=x, role="v",
+                                                 rung=i)
+                out[world + 2 * i + 1] = GadgetPoint(ladder=k, base=x,
+                                                     role="w", rung=i)
     return out
 
 
@@ -92,32 +108,34 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     extended frame stays a T-frame and restricting it to the original worlds
     gives back exactly ``f1``.  The gadget points carry their
     :attr:`GadgetPoint.label` as frame labels, for output only; code reads
-    positions from :func:`gadget_layout`.
+    positions from :func:`copy_start`.
     """
     if m < 0:
         raise ValueError("variable limit must be >= 0")
     if not k_mode and not f1.is_reflexive:
         raise PreconditionFailed(
             "the first factor must be reflexive (use k_mode for K frames)")
-    layout = gadget_layout(f1.worlds, m)
+    base = f1.worlds
     edges: list[tuple[int, int]] = list(f1.edges)
     labels = dict(f1.labels)
-    for w, gp in layout.items():
-        labels[gp.label] = w
-        if gp.role == "v":
-            edges.append((w, w + 1))             # v_i -> w_i
-            if gp.rung == 0:
-                edges.append((gp.base, w))       # entry edge to v0
-        elif gp.rung < gp.ladder:
-            edges.append((w, w + 1))             # w_i -> v_{i+1}
-    worlds = f1.worlds + len(layout)
-    if not k_mode:
-        edges = list(reflexive_closure(edges, worlds))
-    return Frame1(worlds, edges, labels)
+    for k in range(1, m + 2):
+        for x in range(base):
+            start = copy_start(base, k, x)
+            end = start + 2 * (k + 1)
+            edges.append((x, start))                 # entry edge to v0
+            # v_i -> w_i -> v_{i+1}: each point to the next one
+            edges.extend((w, w + 1) for w in range(start, end - 1))
+            if not k_mode:
+                edges.extend((w, w) for w in range(start, end))
+            for i in range(k + 1):
+                labels[f"v{i}.k{k}.x{x}"] = start + 2 * i
+                labels[f"w{i}.k{k}.x{x}"] = start + 2 * i + 1
+    return Frame1(copy_start(base, m + 2, 0), edges, labels)
 
 
-def lift_valuation(base: ProductModel, m: int, variant) -> set[int]:
-    """Worlds of the extended product where the reserved variable holds.
+def lift_valuation(base: ProductModel, m: int, variant) -> int:
+    """Worlds of the extended product where the reserved variable holds, as
+    a mask.
 
     The ``m+1`` ladder's w-points carry the variable over every column; the
     w-points of ladder ``k <= m`` over base world ``z1`` carry it in column
@@ -125,23 +143,23 @@ def lift_valuation(base: ProductModel, m: int, variant) -> set[int]:
     satisfies variable ``k``.  Whether rung 0 is included is the variant's
     choice.  Base points never carry the variable.  The extended product
     numbers its columns as ``base`` does, so gadget world ``g`` in column
-    ``c`` is world ``g * columns + c``.
+    ``c`` is world ``g * columns + c``: the marked columns of copy ``(k,
+    x)`` are row ``x`` of variable ``k``'s mask, repeated on every marked
+    w-rung by one product with a repunit spaced two rows apart.
     """
-    gadgets = gadget_layout(base.factors[0].worlds, m)
     lowest_rung = 0 if variant.mark_first_rung else 1
+    worlds = base.factors[0].worlds
     columns = base.codec.strides[0]
-
-    marked: set[int] = set()
-    for world, gp in gadgets.items():
-        if gp.role != "w" or gp.rung < lowest_rung:
-            continue
-        if gp.ladder == m + 1:
-            marked.update(range(world * columns, (world + 1) * columns))
-        else:
-            for bw in base.valuation.get(gp.ladder, frozenset()):
-                first, column = divmod(bw, columns)
-                if first == gp.base:
-                    marked.add(world * columns + column)
+    full_row = (1 << columns) - 1
+    marked = 0
+    for k in range(1, m + 2):
+        rungs = repunit(2 * columns, k + 1 - lowest_rung)
+        mask = base.masks.get(k, 0)
+        for x in range(worlds):
+            row = full_row if k == m + 1 else mask >> x * columns & full_row
+            if row:
+                first = copy_start(worlds, k, x) + 2 * lowest_rung + 1
+                marked |= row * rungs << first * columns
     return marked
 
 
@@ -183,7 +201,7 @@ def build_transfer(base: ProductModel, f: Formula,
     ext_f1 = attach_gadgets(base.factors[0], m, k_mode=k_mode)
     marked = lift_valuation(base, m, ctx.variant)
     factors = [ext_f1, *base.factors[1:]]
-    model = ProductModel(factors, {0: marked}, base.point)
+    model = ProductModel.from_masks(factors, {0: marked}, base.point)
     # the original first-factor worlds come first, so every base world keeps
     # its index
     base_points = frozenset(range(base.codec.worlds))
@@ -229,17 +247,21 @@ def check_marker_agreement(result: TransferResult, base: ProductModel,
                            ctx: TranslationContext) -> SurgeryReport:
     """At every original point, each variable marker must agree with the
     variable it stands for."""
-    violations = []
-    checked = 0
     model = result.model
-    for bw in range(base.codec.worlds):
-        for k in range(1, ctx.var_limit + 1):
-            got = check(model, bw, ctx.var_marker(k))
-            want = bw in base.valuation.get(k, frozenset())
-            checked += 1
-            if got != want:
-                violations.append((base.coords_of(bw), k, got, want))
-    return SurgeryReport("marker-agreement", checked, tuple(violations))
+    points = base.codec.worlds
+    low = (1 << points) - 1  # the base worlds, the same in both models
+    got = {k: model.sat(ctx.var_marker(k)) & low
+           for k in range(1, ctx.var_limit + 1)}
+    want = {k: base.masks.get(k, 0) & low for k in got}
+    differ = 0
+    for k in got:
+        differ |= got[k] ^ want[k]
+    violations = [(base.coords_of(bw), k, bool(got[k] >> bw & 1),
+                   bool(want[k] >> bw & 1))
+                  for bw in bit_indices(differ) for k in got
+                  if (got[k] ^ want[k]) >> bw & 1]
+    return SurgeryReport("marker-agreement", points * ctx.var_limit,
+                         tuple(violations))
 
 
 def check_marker_exactness(result: TransferResult,
@@ -250,10 +272,13 @@ def check_marker_exactness(result: TransferResult,
     ladder point responsible.
     """
     model = result.model
-    sat = sat_set(model, ctx.base_marker())
-    missing = sorted(result.base_points - sat)
-    extras = sorted(sat - result.base_points)
-    violations = [("missing", model.coords_of(w)) for w in missing]
+    sat = model.sat(ctx.base_marker())
+    base = 0
+    for w in result.base_points:
+        base |= 1 << w
+    violations = [("missing", model.coords_of(w))
+                  for w in bit_indices(base & ~sat)]
+    extras = bit_indices(sat & ~base)
     if extras:
         columns = model.codec.strides[0]
         gadgets = gadget_layout(len(result.base_points) // columns,
@@ -303,34 +328,33 @@ def build_extraction(counter: ProductModel, f: Formula,
         raise PreconditionFailed(
             "the model does not refute the reduced formula at its point")
 
-    reach = bounded_reach(counter.frame, counter.point, ctx.depth,
-                          range(1, ctx.arity + 1))
-    marked = sat_set(counter, ctx.base_marker())
+    reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth,
+                               range(1, ctx.arity + 1))
+    marked = counter.sat(ctx.base_marker())
     columns = counter.codec.strides[0]
-    kept = sorted({w // columns for w in reach & marked})
+    kept = sorted({w // columns for w in bit_indices(reach & marked)})
     # the guard makes the refuting point marked, and it is reachable in 0
     # steps, so its first coordinate is kept
-    if counter.point // columns not in kept:
+    first, column = divmod(counter.point, columns)
+    if first not in kept:
         raise ExtractionFailed(
             "the refuting point lost its first coordinate in extraction")
 
-    remap = {old: new for new, old in enumerate(kept)}
     new_f1 = restrict(counter.factors[0], kept)
     factors = [new_f1, *counter.factors[1:]]
 
-    def project(w: int) -> int | None:
-        """``w`` in the carved model (same column, renumbered first
-        coordinate), or None if its first coordinate was dropped."""
-        first, column = divmod(w, columns)
-        new = remap.get(first)
-        return None if new is None else new * columns + column
-
-    valuation: dict[int, list[int]] = {}
+    # kept row x becomes row i of the carved model; its columns stay
+    full_row = (1 << columns) - 1
+    valuation: dict[int, int] = {}
     for k in range(1, ctx.var_limit + 1):
-        projected = map(project, sat_set(counter, ctx.var_marker(k)))
-        valuation[k] = [w for w in projected if w is not None]
+        sat = counter.sat(ctx.var_marker(k))
+        carved = 0
+        for i, x in enumerate(kept):
+            carved |= (sat >> x * columns & full_row) << i * columns
+        valuation[k] = carved
 
-    model = ProductModel(factors, valuation, project(counter.point))
+    point = kept.index(first) * columns + column
+    model = ProductModel.from_masks(factors, valuation, point)
 
     refuted = not check(model, model.point, f)
     checks = {"guard-at-point": True, "refutes-source": refuted}
@@ -355,20 +379,18 @@ def check_kept_points_marked(counter: ProductModel,
                              ctx: TranslationContext) -> SurgeryReport:
     """Every kept point within reach of the refuting point must satisfy the
     base marker in the source model."""
-    kept = set(extraction.kept_first_factor)
-    reach = bounded_reach(counter.frame, counter.point, ctx.depth,
-                          range(1, ctx.arity + 1))
-    marked = sat_set(counter, ctx.base_marker())
+    reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth,
+                               range(1, ctx.arity + 1))
+    marked = counter.sat(ctx.base_marker())
     columns = counter.codec.strides[0]
-    violations = []
-    checked = 0
-    for w in sorted(reach):
-        if w // columns not in kept:
-            continue
-        checked += 1
-        if w not in marked:
-            violations.append((counter.coords_of(w),))
-    return SurgeryReport("kept-points-marked", checked, tuple(violations))
+    rows = 0  # one bit at the first world of each kept row
+    for x in extraction.kept_first_factor:
+        rows |= 1 << x * columns
+    in_scope = reach & rows * ((1 << columns) - 1)
+    violations = [(counter.coords_of(w),)
+                  for w in bit_indices(in_scope & ~marked)]
+    return SurgeryReport("kept-points-marked", in_scope.bit_count(),
+                         tuple(violations))
 
 
 def check_subformula_preservation(base: ProductModel,
@@ -378,12 +400,13 @@ def check_subformula_preservation(base: ProductModel,
     subformula of ``f`` and every original point, the source model satisfies
     the subformula iff the extended model satisfies its lowering."""
     model = result.model
+    points = base.codec.worlds
+    low = (1 << points) - 1  # the base worlds, the same in both models
     violations = []
-    checked = 0
-    for sub in subformulas(f):
-        lowered = ctx.lower(sub)
-        for bw in range(base.codec.worlds):
-            checked += 1
-            if check(base, bw, sub) != check(model, bw, lowered):
-                violations.append((base.coords_of(bw), sub.uid))
-    return SurgeryReport("subformula-preservation", checked, tuple(violations))
+    subs = list(subformulas(f))
+    for sub in subs:
+        differ = (base.sat(sub) ^ model.sat(ctx.lower(sub))) & low
+        violations.extend((base.coords_of(bw), sub.uid)
+                          for bw in bit_indices(differ))
+    return SurgeryReport("subformula-preservation", points * len(subs),
+                         tuple(violations))

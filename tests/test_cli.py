@@ -124,8 +124,25 @@ class TestCheck:
                      {"worlds": 1, "edges": [[0, 0]]}]},
         {"factors": [{"worlds": 1, "edges": [[0, 0]], "labels": {"a": "x"}},
                      {"worlds": 1, "edges": [[0, 0]]}]},
+        # names that alias a variable: "p01" would read as p1
+        {"valuation": {"p1": [], "p01": [[0, 0]]}},
+        {"valuation": {"p\u0661": [[0, 0]]}},
+        # numbers that are not integers, once truncated by int()
+        {"factors": [{"worlds": 1.9, "edges": [[0, 0]]},
+                     {"worlds": 1, "edges": [[0, 0]]}]},
+        {"factors": [{"worlds": 1, "edges": [[0, 0.5]]},
+                     {"worlds": 1, "edges": [[0, 0]]}]},
+        {"factors": [{"worlds": 2, "edges": [[0, 0], [1, 1]],
+                      "labels": {"a": True}},
+                     {"worlds": 1, "edges": [[0, 0]]}]},
+        {"valuation": {"p1": [[0.5, 0]]}},
+        {"point": [0, 0.0]},
+        {"point": [False, 0]},
     ], ids=["coordinate-not-list", "coordinates-not-list", "valuation-list",
-            "point-int", "point-text", "labels-list", "label-text"])
+            "point-int", "point-text", "labels-list", "label-text",
+            "name-leading-zero", "name-non-ascii-digit", "worlds-float",
+            "edge-float", "label-bool", "coordinate-float", "point-float",
+            "point-bool"])
     def test_malformed_model_exits_2(self, capsys, model_file, change):
         code, out, err = run(capsys, "check",
                              model_file({**BOT_MODEL, **change}), "F")

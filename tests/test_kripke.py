@@ -370,6 +370,17 @@ class TestTruth:
             ProductModel([chain], {}, 0,
                          product([chain, Frame1(1, [(0, 0)])]))
 
+    def test_masks_entry_point_rejects_stray_bits(self):
+        # three worlds: masks 0..7 are valuations, anything else is not
+        chain = Frame1(3, [(0, 1), (1, 2)])
+        model = ProductModel.from_masks([chain], {1: 0b101, 2: 0}, 0)
+        assert model.valuation == {1: frozenset({0, 2}), 2: frozenset()}
+        assert model.to_json() == ProductModel(
+            [chain], {1: [2, 0], 2: []}, 0).to_json()
+        for bad in (-1, 1 << 3, 0b1001):
+            with pytest.raises(ValueError):
+                ProductModel.from_masks([chain], {1: bad}, 0)
+
 
 class TestDifferential:
     def test_sat_set_agrees_with_naive(self):

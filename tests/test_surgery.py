@@ -1,20 +1,27 @@
 """Countermodel surgeries: gadget attachment, transfer, extraction, scans."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import onevar.surgery
-from onevar.formulas import parse
-from onevar.kripke import (CoordinateCodec, Frame1, ProductModel, check,
-                           check_naive, ladder, restrict, sat_set)
-from onevar.surgery import (ExtractionFailed, PreconditionFailed,
-                            TransferFailed, attach_gadgets, build_transfer,
-                            check_kept_points_marked, check_marker_agreement,
-                            check_marker_exactness,
-                            check_subformula_preservation,
+from onevar.formulas import FormulaStore, parse, subformulas
+from onevar.search import random_formula
+from onevar.kripke import (CoordinateCodec, Frame1, ProductModel,
+                           bit_indices, bounded_reach, check, check_naive,
+                           ladder, restrict, sat_set)
+from onevar.surgery import (ExtractionFailed, ExtractionResult,
+                            PreconditionFailed, SurgeryReport,
+                            TransferFailed, attach_gadgets, build_extraction,
+                            build_transfer, check_kept_points_marked,
+                            check_marker_agreement, check_marker_exactness,
+                            check_subformula_preservation, copy_start,
                             extract_countermodel, gadget_layout,
                             lift_valuation, transfer_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
-                                TranslationContext, VariantConfig)
+                                VARIANT_GRID, TranslationContext,
+                                VariantConfig)
 
 REFLEXIVE_POINT = Frame1(1, [(0, 0)])
 REFLEXIVE_CHAIN = Frame1(2, [(0, 0), (1, 1), (0, 1)])
@@ -91,7 +98,8 @@ def lifted_coords(base, m, variant):
     codec of the extended product."""
     ext = attach_gadgets(base.factors[0], m)
     codec = CoordinateCodec([ext.worlds, *(f.worlds for f in base.factors[1:])])
-    return {codec.coords(w) for w in lift_valuation(base, m, variant)}
+    return {codec.coords(w)
+            for w in bit_indices(lift_valuation(base, m, variant))}
 
 
 class TestLiftValuation:
@@ -330,8 +338,8 @@ class TestExtraction:
         base = ProductModel.from_coords(
             [REFLEXIVE_CHAIN, REFLEXIVE_POINT], {1: [(0, 0)]}, (0, 0))
         result = transfer_countermodel(base, f, ctx)
-        monkeypatch.setattr(onevar.surgery, "bounded_reach",
-                            lambda *args: frozenset())
+        monkeypatch.setattr(onevar.surgery, "bounded_reach_mask",
+                            lambda *args: 0)
         with pytest.raises(ExtractionFailed):
             extract_countermodel(result.model, f, ctx)
 
@@ -404,3 +412,210 @@ class TestGadgetSelectivity:
                 gp = gadgets.get(first)
                 if gp is not None and gp.rung == 0 and gp.role == "w":
                     assert gp.ladder == k
+
+
+# ---------------------------------------------------------------------------
+# Per-world references: the valuation lift, the carving and the four scans
+# as they were written before the surgeries kept valuations as world masks.
+# The mask code must give equal masks and equal reports, in the same order.
+# ---------------------------------------------------------------------------
+
+def reference_lift(base, m, variant):
+    gadgets = gadget_layout(base.factors[0].worlds, m)
+    lowest_rung = 0 if variant.mark_first_rung else 1
+    columns = base.codec.strides[0]
+    marked = set()
+    for world, gp in gadgets.items():
+        if gp.role != "w" or gp.rung < lowest_rung:
+            continue
+        if gp.ladder == m + 1:
+            marked.update(range(world * columns, (world + 1) * columns))
+        else:
+            for bw in base.valuation.get(gp.ladder, frozenset()):
+                first, column = divmod(bw, columns)
+                if first == gp.base:
+                    marked.add(world * columns + column)
+    return marked
+
+
+def reference_carving(counter, kept, ctx):
+    """Each marker's worlds projected world by world onto the kept rows."""
+    columns = counter.codec.strides[0]
+    remap = {old: new for new, old in enumerate(kept)}
+    valuation = {}
+    for k in range(1, ctx.var_limit + 1):
+        valuation[k] = frozenset(
+            remap[w // columns] * columns + w % columns
+            for w in sat_set(counter, ctx.var_marker(k))
+            if w // columns in remap)
+    return valuation
+
+
+def reference_agreement(result, base, ctx):
+    violations = []
+    checked = 0
+    model = result.model
+    for bw in range(base.codec.worlds):
+        for k in range(1, ctx.var_limit + 1):
+            got = check(model, bw, ctx.var_marker(k))
+            want = bw in base.valuation.get(k, frozenset())
+            checked += 1
+            if got != want:
+                violations.append((base.coords_of(bw), k, got, want))
+    return SurgeryReport("marker-agreement", checked, tuple(violations))
+
+
+def reference_exactness(result, ctx):
+    model = result.model
+    sat = sat_set(model, ctx.base_marker())
+    missing = sorted(result.base_points - sat)
+    extras = sorted(sat - result.base_points)
+    violations = [("missing", model.coords_of(w)) for w in missing]
+    if extras:
+        columns = model.codec.strides[0]
+        gadgets = gadget_layout(len(result.base_points) // columns,
+                                ctx.var_limit)
+        for w in extras:
+            gp = gadgets.get(w // columns)
+            violations.append(("extra", model.coords_of(w),
+                               gp.label if gp else "base?"))
+    return SurgeryReport("marker-exactness",
+                         model.codec.worlds, tuple(violations))
+
+
+def reference_kept_points(counter, extraction, ctx):
+    kept = set(extraction.kept_first_factor)
+    reach = bounded_reach(counter.frame, counter.point, ctx.depth,
+                          range(1, ctx.arity + 1))
+    marked = sat_set(counter, ctx.base_marker())
+    columns = counter.codec.strides[0]
+    violations = []
+    checked = 0
+    for w in sorted(reach):
+        if w // columns not in kept:
+            continue
+        checked += 1
+        if w not in marked:
+            violations.append((counter.coords_of(w),))
+    return SurgeryReport("kept-points-marked", checked, tuple(violations))
+
+
+def reference_preservation(base, result, f, ctx):
+    model = result.model
+    violations = []
+    checked = 0
+    for sub in subformulas(f):
+        lowered = ctx.lower(sub)
+        for bw in range(base.codec.worlds):
+            checked += 1
+            if check(base, bw, sub) != check(model, bw, lowered):
+                violations.append((base.coords_of(bw), sub.uid))
+    return SurgeryReport("subformula-preservation", checked,
+                         tuple(violations))
+
+
+def mask_of(worlds):
+    mask = 0
+    for w in worlds:
+        mask |= 1 << w
+    return mask
+
+
+@st.composite
+def surgery_cases(draw, k_mode):
+    """A base model over two factors of 1-3 worlds (the first reflexive
+    unless ``k_mode``), ``m`` in 0..3 with a valuation of ``p1..pm``, and
+    the seed of a formula over those variables."""
+    factors = []
+    for i in range(2):
+        size = draw(st.integers(1, 3))
+        pairs = [(a, b) for a in range(size) for b in range(size)]
+        edges = [e for e in pairs if draw(st.booleans())]
+        if i == 0 and not k_mode:
+            edges += [(w, w) for w in range(size)]
+        factors.append(Frame1(size, edges))
+    worlds = factors[0].worlds * factors[1].worlds
+    m = draw(st.integers(0, 3))
+    masks = {k: draw(st.integers(0, (1 << worlds) - 1))
+             for k in range(1, m + 1)}
+    point = draw(st.integers(0, worlds - 1))
+    return factors, m, masks, point, draw(st.integers(0, 2 ** 16))
+
+
+class TestMaskSurgeriesMatchPerWorld:
+    @pytest.mark.parametrize("k_mode", [False, True], ids=["T", "K"])
+    @pytest.mark.parametrize("variant", VARIANT_GRID,
+                             ids=[v.name for v in VARIANT_GRID])
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_lift_carve_and_scans(self, variant, k_mode, data):
+        factors, m, masks, point, seed = data.draw(surgery_cases(k_mode))
+        store = FormulaStore()
+        f = random_formula(store, random.Random(seed), 2, m, 2, 8)
+        base = ProductModel.from_masks(factors, masks, point)
+        if check(base, point, f):  # the transfer needs a refuting point
+            f = store.imp(f, store.bottom())
+        ctx = TranslationContext(store, 2, m, f.depth, variant)
+
+        assert lift_valuation(base, m, variant) == \
+            mask_of(reference_lift(base, m, variant))
+        result = build_transfer(base, f, ctx, k_mode=k_mode)
+        assert check_marker_agreement(result, base, ctx) == \
+            reference_agreement(result, base, ctx)
+        assert check_marker_exactness(result, ctx) == \
+            reference_exactness(result, ctx)
+        assert check_subformula_preservation(base, result, f, ctx) == \
+            reference_preservation(base, result, f, ctx)
+
+        # any rows of the transferred model, to reach unmarked points
+        rows = result.model.factors[0].worlds
+        kept = tuple(x for x in range(rows) if data.draw(st.booleans()))
+        drawn = ExtractionResult(kept, result.model, result.point, {})
+        assert check_kept_points_marked(result.model, drawn, ctx) == \
+            reference_kept_points(result.model, drawn, ctx)
+        try:
+            extraction = build_extraction(result.model, f, ctx)
+        except PreconditionFailed:
+            return  # a miscalibrated variant can break the guard
+        assert extraction.model.valuation == reference_carving(
+            result.model, extraction.kept_first_factor, ctx)
+        assert check_kept_points_marked(result.model, extraction, ctx) == \
+            reference_kept_points(result.model, extraction, ctx)
+
+    def test_miscalibrated_variants_report_violations(self, store):
+        # the differential cases above compare non-empty reports too
+        f, ctx = make_ctx(store, "p1 -> [1]p1")
+        base = ProductModel.from_coords(
+            [REFLEXIVE_CHAIN, REFLEXIVE_POINT], {1: [(0, 0)]}, (0, 0))
+        found = set()
+        for variant in VARIANT_GRID:
+            ctx = TranslationContext(store, 2, 1, f.depth, variant)
+            result = build_transfer(base, f, ctx)
+            for new, ref in [
+                    (check_marker_agreement(result, base, ctx),
+                     reference_agreement(result, base, ctx)),
+                    (check_marker_exactness(result, ctx),
+                     reference_exactness(result, ctx)),
+                    (check_subformula_preservation(base, result, f, ctx),
+                     reference_preservation(base, result, f, ctx))]:
+                assert new == ref
+                if new.violations:
+                    found.add(new.name)
+        assert found == {"marker-agreement", "marker-exactness",
+                         "subformula-preservation"}
+
+
+class TestCopyStart:
+    def test_closed_form_counts_the_copies_before(self):
+        # copies laid out one after another: lengths outermost, then base
+        # worlds, 2*(k+1) worlds each
+        for base_worlds in (1, 2, 5):
+            for m in range(4):
+                world = base_worlds
+                for k in range(1, m + 2):
+                    for x in range(base_worlds):
+                        assert copy_start(base_worlds, k, x) == world
+                        world += 2 * (k + 1)
+                assert copy_start(base_worlds, m + 2, 0) == world
+                assert attach_gadgets(Frame1(base_worlds, []), m,
+                                      k_mode=True).worlds == world
