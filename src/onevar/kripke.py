@@ -29,8 +29,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, Formula,
-                             ModalityError, postorder)
+from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, ModalityError,
+                             postorder)
 
 
 class ModelFormatError(ValueError):
@@ -132,32 +132,6 @@ def reflexive_closure(edges: Iterable[tuple[int, int]],
     out = set(edges)
     out.update((w, w) for w in range(worlds))
     return _normalize_edges(out, worlds)
-
-
-def symmetric_closure(edges: Iterable[tuple[int, int]],
-                      worlds: int) -> tuple[tuple[int, int], ...]:
-    out = set(edges)
-    out.update((b, a) for a, b in edges)
-    return _normalize_edges(out, worlds)
-
-
-def transitive_closure(edges: Iterable[tuple[int, int]],
-                       worlds: int) -> tuple[tuple[int, int], ...]:
-    reach = [set() for _ in range(worlds)]
-    for a, b in edges:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(worlds):
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b] - reach[a]
-            if extra:
-                reach[a] |= extra
-                changed = True
-    return _normalize_edges(((a, b) for a in range(worlds) for b in reach[a]),
-                            worlds)
 
 
 def ladder(k: int) -> Frame1:

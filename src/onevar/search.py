@@ -1,11 +1,14 @@
 """Desk-scale brute force: frame enumeration, countermodel search,
 variant calibration and the differential suite.
 
-Everything here is deterministic given a seed.  Frames are enumerated in
-canonical adjacency order without isomorphism rejection (duplicates are
-affordable at these sizes), valuations exhaustively while the assignment
-space is at most ``2**EXHAUSTIVE_VALUATION_BITS`` and by seeded sampling
-beyond that.  Every frame of a size is checked under the same
+Everything here is deterministic given a seed.  :func:`is_member` is the
+one definition of each frame class.  Frames are enumerated in canonical
+adjacency order without isomorphism rejection (duplicates are affordable
+at these sizes): K- and T-frames as the subsets of their free edges, S4-
+and S5-frames as the T-frames :func:`is_member` admits.  Valuations are
+enumerated exhaustively while the assignment space is at most
+``2**EXHAUSTIVE_VALUATION_BITS`` and by seeded sampling beyond
+that.  Every frame of a size is checked under the same
 valuations, so the (frame, valuation) pairs of a size are lanes laid out
 frame-major (:class:`~onevar.kripke.LaneLayout`), and one bitmask pass over
 a block's shift plan checks up to ``2**BLOCK_BITS`` lanes: whole frames
@@ -29,17 +32,14 @@ from typing import Callable, Iterator, Sequence
 from onevar.formulas import Formula, FormulaStore, parse, variables
 # sat_set is unused here; perfbench/tracer.py patches onevar.search.sat_set
 from onevar.kripke import (Frame1, FrameList, LaneLayout, ProductModel,
-                           check_naive, product, reflexive_closure, repunit,
-                           sat_mask, sat_set, symmetric_closure,
-                           transitive_closure)
+                           check_naive, product, repunit, sat_mask, sat_set)
 from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             TransferFailed, build_extraction, build_transfer,
                             check_kept_points_marked, check_marker_agreement,
                             check_marker_exactness, extract_countermodel,
                             transfer_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
-                                VARIANT_GRID, TranslationContext,
-                                VariantConfig)
+                                TranslationContext, VariantConfig)
 
 EXHAUSTIVE_VALUATION_BITS = 18
 BLOCK_BITS = 12  # a block holds at most 2**BLOCK_BITS (frame, valuation) lanes
@@ -78,33 +78,16 @@ def is_member(frame: Frame1, cls: FactorClass) -> bool:
     return reflexive and transitive and symmetric
 
 
-def _k_frames(size: int) -> list[Frame1]:
-    cells = [(a, b) for a in range(size) for b in range(size)]
-    frames = []
+def _subset_frames(size: int, reflexive: bool) -> Iterator[Frame1]:
+    """Every frame on ``size`` worlds, or every reflexive one: the loops are
+    fixed if ``reflexive``, and the other cells run through their subsets
+    in mask order."""
+    loops = [(w, w) for w in range(size)] if reflexive else []
+    cells = [(a, b) for a in range(size) for b in range(size)
+             if not (reflexive and a == b)]
     for mask in range(1 << len(cells)):
-        edges = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        frames.append(Frame1(size, edges))
-    return frames
-
-
-def _t_frames(size: int) -> list[Frame1]:
-    cells = [(a, b) for a in range(size) for b in range(size) if a != b]
-    loops = [(w, w) for w in range(size)]
-    frames = []
-    for mask in range(1 << len(cells)):
-        edges = loops + [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        frames.append(Frame1(size, edges))
-    return frames
-
-
-def _closure_family(size: int, close: Callable) -> list[Frame1]:
-    # Closing every T-frame reaches every fixed point of the closure at this
-    # size, so the deduplicated image is the whole class.
-    seen = {}
-    for frame in _t_frames(size):
-        closed = Frame1(size, close(frame.edges, size))
-        seen[closed.edges] = closed
-    return [seen[e] for e in sorted(seen)]
+        yield Frame1(size, loops + [cells[i] for i in range(len(cells))
+                                    if mask >> i & 1])
 
 
 @functools.cache
@@ -112,21 +95,17 @@ def enumerate_frames(cls: FactorClass, size: int) -> tuple[Frame1, ...]:
     """All frames of the class with exactly ``size`` worlds, in a
     deterministic order.
 
-    Cached: every search over the same class and size reuses one tuple of
-    (immutable) frames.
+    K- and T-frames come in subset order; S4- and S5-frames are the T-frames
+    :func:`is_member` admits, sorted by their edges.  Cached: every search
+    over the same class and size reuses one tuple of (immutable) frames.
     """
     if size < 1:
         raise ValueError("frame size must be >= 1")
-    if cls is FactorClass.K:
-        return tuple(_k_frames(size))
-    if cls is FactorClass.T:
-        return tuple(_t_frames(size))
-    if cls is FactorClass.S4:
-        return tuple(_closure_family(
-            size, lambda e, w: transitive_closure(reflexive_closure(e, w), w)))
-    return tuple(_closure_family(
-        size, lambda e, w: transitive_closure(
-            symmetric_closure(reflexive_closure(e, w), w), w)))
+    if cls in (FactorClass.K, FactorClass.T):
+        return tuple(_subset_frames(size, cls is FactorClass.T))
+    members = [frame for frame in enumerate_frames(FactorClass.T, size)
+               if is_member(frame, cls)]
+    return tuple(sorted(members, key=lambda frame: frame.edges))
 
 
 @dataclass(frozen=True)
@@ -336,7 +315,13 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                      for var, mask in masks.items()},
                     point, product(factors))
                 # a returned countermodel is never unverified
-                if check_naive(witness, point, f):
+                try:
+                    holds = check_naive(witness, point, f)
+                except RecursionError:
+                    raise ValueError(
+                        "formula nested too deeply for the naive re-check "
+                        "of a countermodel") from None
+                if holds:
                     raise CheckerDisagreement(
                         "bitmask checker and naive evaluator disagree")
                 if on_found(witness):

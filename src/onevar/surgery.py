@@ -273,9 +273,7 @@ def check_marker_exactness(result: TransferResult,
     """
     model = result.model
     sat = model.sat(ctx.base_marker())
-    base = 0
-    for w in result.base_points:
-        base |= 1 << w
+    base = (1 << len(result.base_points)) - 1  # base worlds come first
     violations = [("missing", model.coords_of(w))
                   for w in bit_indices(base & ~sat)]
     extras = bit_indices(sat & ~base)
@@ -283,10 +281,8 @@ def check_marker_exactness(result: TransferResult,
         columns = model.codec.strides[0]
         gadgets = gadget_layout(len(result.base_points) // columns,
                                 ctx.var_limit)
-        for w in extras:
-            gp = gadgets.get(w // columns)
-            violations.append(("extra", model.coords_of(w),
-                               gp.label if gp else "base?"))
+        violations += [("extra", model.coords_of(w),
+                        gadgets[w // columns].label) for w in extras]
     return SurgeryReport("marker-exactness",
                          model.codec.worlds, tuple(violations))
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, FormulaStore,
+from onevar.formulas import (AND, BOT, BOX, OR, VAR, Formula, FormulaStore,
                              ModalityError, box_upto, composite_dia, dia_upto,
-                             variables)
+                             postorder, variables)
 
 
 class ReservedVariableError(ValueError):
@@ -190,32 +190,40 @@ class TranslationContext:
         if hit is not None:
             return hit
         store = self.store
-        kind = f.kind
-        if kind == BOT:
-            out = f
-        elif kind == VAR:
-            if f.idx == 0:
-                raise ReservedVariableError(
-                    "the reserved variable p cannot occur in a source formula")
-            if f.idx > self.var_limit:
-                raise ValueError(
-                    f"variable p{f.idx} exceeds the context limit "
-                    f"{self.var_limit}")
-            out = self.var_marker(f.idx)
-        elif kind == AND:
-            out = store.and_(self.lower(f.children[0]), self.lower(f.children[1]))
-        elif kind == OR:
-            out = store.or_(self.lower(f.children[0]), self.lower(f.children[1]))
-        elif kind == IMP:
-            out = store.imp(self.lower(f.children[0]), self.lower(f.children[1]))
-        else:  # box
-            if f.idx > self.arity:
-                raise ModalityError(
-                    f"box index {f.idx} exceeds the context arity {self.arity}")
-            body = store.imp(self.base_marker(), self.lower(f.children[0]))
-            out = store.box(f.idx, body)
-        memo[f.uid] = out
-        return out
+        for node in postorder(f):
+            if node.uid in memo:
+                continue
+            kind = node.kind
+            if kind == BOT:
+                out = node
+            elif kind == VAR:
+                if node.idx == 0:
+                    raise ReservedVariableError(
+                        "the reserved variable p cannot occur in a source "
+                        "formula")
+                if node.idx > self.var_limit:
+                    raise ValueError(
+                        f"variable p{node.idx} exceeds the context limit "
+                        f"{self.var_limit}")
+                out = self.var_marker(node.idx)
+            elif kind == BOX:
+                if node.idx > self.arity:
+                    raise ModalityError(
+                        f"box index {node.idx} exceeds the context arity "
+                        f"{self.arity}")
+                body = store.imp(self.base_marker(),
+                                 memo[node.children[0].uid])
+                out = store.box(node.idx, body)
+            else:
+                left, right = (memo[c.uid] for c in node.children)
+                if kind == AND:
+                    out = store.and_(left, right)
+                elif kind == OR:
+                    out = store.or_(left, right)
+                else:  # IMP
+                    out = store.imp(left, right)
+            memo[node.uid] = out
+        return memo[f.uid]
 
     def uniform_guard(self) -> Formula:
         """Conjunction forcing the base marker to behave uniformly within the

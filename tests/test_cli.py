@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """The ``onevar`` entry point in a fresh interpreter, as a shell runs
+    it: an uncaught exception shows as a traceback on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-m", "onevar", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# 400 nested diamonds: 1200 nested nodes, as each diamond is ~[1]~
+DEEP_DIAMONDS = "<1>" * 400 + "p1"
+
+
 class TestTranslate:
     def test_bottom(self, capsys):
         code, out, err = run(capsys, "translate", "F", "--expand")
@@ -82,6 +102,11 @@ class TestTranslate:
         code, _, err = run(capsys, "translate", text)
         assert code == 2
         assert "nested too deeply" in err
+
+    def test_deep_diamonds_lower(self):
+        code, out, err = run_process("translate", DEEP_DIAMONDS)
+        assert code == 0, err
+        assert json.loads(out)["metrics"]["source"]["modal_depth"] == 400
 
     def test_shared_form_is_default(self, capsys):
         code, out, _ = run(capsys, "translate", "p1")
@@ -187,6 +212,16 @@ class TestSearch:
                            "--max-worlds", "2")
         assert code == 3
         assert "disagree" in err
+
+    def test_too_deep_to_recheck_exits_2(self):
+        # the witness cannot be re-checked by the recursive naive
+        # evaluator, so it is not returned
+        code, out, err = run_process("search", DEEP_DIAMONDS,
+                                     "--max-worlds", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "naive re-check" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_deterministic_given_seed(self, capsys):
         runs = []

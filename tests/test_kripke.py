@@ -12,8 +12,7 @@ from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
                            ModelFormatError, ProductModel, ShiftPlan,
                            bounded_reach, check, check_naive, ladder,
                            product, reflexive_closure, repunit, restrict,
-                           sat_mask, sat_set, symmetric_closure,
-                           transitive_closure)
+                           sat_mask, sat_set)
 from onevar.search import BLOCK_BITS, FactorClass, enumerate_frames
 from tests.test_formulas import random_formula
 
@@ -74,13 +73,6 @@ class TestClosures:
     def test_reflexive_closure_idempotent(self):
         r = reflexive_closure([(0, 1)], 2)
         assert reflexive_closure(r, 2) == r == ((0, 0), (0, 1), (1, 1))
-
-    def test_transitive_closure(self):
-        assert transitive_closure([(0, 1), (1, 2)], 3) == \
-            ((0, 1), (0, 2), (1, 2))
-
-    def test_symmetric_closure(self):
-        assert symmetric_closure([(0, 1)], 2) == ((0, 1), (1, 0))
 
 
 class TestLadder:

@@ -48,15 +48,38 @@ class TestEnumeration:
                 assert len(enumerate_frames(cls, size)) == expected
 
     def test_known_class_sizes(self):
-        # equivalence relations on 3 points; preorders on 3 points
+        # equivalence relations and preorders on 3 and on 4 points
         assert len(enumerate_frames(FactorClass.S5, 3)) == 5
         assert len(enumerate_frames(FactorClass.S4, 3)) == 29
+        assert len(enumerate_frames(FactorClass.S5, 4)) == 15
+        assert len(enumerate_frames(FactorClass.S4, 4)) == 355
 
     def test_every_emitted_frame_is_a_member(self):
         for size in (1, 2, 3):
             for cls in FactorClass:
                 for frame in enumerate_frames(cls, size):
                     assert is_member(frame, cls)
+
+    # first 16 hex digits of the sha256 of each enumeration's edge lists,
+    # taken when S4 and S5 were built by closing T-frames
+    PINNED = {
+        FactorClass.K: ("abc6f461bcbb020a", "0b61cd0b92f53225",
+                        "361e36471fba3d76"),
+        FactorClass.T: ("8a0c85582ad13c47", "7f6df0cde0ce7804",
+                        "5de276d6dab7c914", "eb336b582ff57916"),
+        FactorClass.S4: ("8a0c85582ad13c47", "57a968d113aaf565",
+                         "59c244ce5601ae29", "a254bf67689dd11e"),
+        FactorClass.S5: ("8a0c85582ad13c47", "5fd22a0f38e4acc7",
+                         "faf7fc3e3d0189f4", "4fcdff786d7e3f36"),
+    }
+
+    @pytest.mark.parametrize("cls", list(FactorClass), ids=lambda c: c.value)
+    def test_pinned_enumeration(self, cls):
+        for size, digest in enumerate(self.PINNED[cls], 1):
+            edges = [[list(e) for e in f.edges]
+                     for f in enumerate_frames(cls, size)]
+            got = hashlib.sha256(json.dumps(edges).encode()).hexdigest()
+            assert got[:16] == digest, (cls, size)
 
     def test_deterministic_order(self):
         a = enumerate_frames(FactorClass.S4, 3)

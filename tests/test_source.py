@@ -73,6 +73,32 @@ def test_naive_oracle_reads_the_factors():
     assert found == []
 
 
+# module -> names it imports only for perfbench/tracer.py to patch
+TRACER_BINDINGS = {"search.py": {"sat_set"}, "surgery.py": {"sat_set"}}
+
+
+def test_every_import_is_used():
+    # a name a module imports but never reads is dead; __init__.py imports
+    # to re-export
+    found = []
+    for path in sorted((ROOT / "src" / "onevar").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        allowed = TRACER_BINDINGS.get(path.name, set())
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in allowed:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_perfbench_tracer_binds(monkeypatch):
     # the benchmark's traced run wraps package functions by name; a rename
     # or move of any of them must fail here, not in the benchmark
