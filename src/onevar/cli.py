@@ -221,6 +221,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.max_depth < 0:
+        raise ValueError("--max-depth must be at least 0")
     store = FormulaStore()
     rows = ["depth,guard_tree_size,guard_dag_size,reduction_tree_size,"
             "reduction_dag_size,build_seconds"]

@@ -19,9 +19,9 @@ Biham's bitsliced DES, FSE 1997), and the copies need not share a frame:
 :class:`FrameList`, each under the same valuations, as lanes, and builds
 the plan of any block of lanes from each edge's frame mask and its sources
 in one product.  :func:`check_naive` is
-an independent oracle: a direct recursive evaluator with no sharing and no
-caching that reads the factors, not the plan, kept deliberately separate so
-the two can be differenced against each other.
+an independent oracle: a top-down recursive evaluator, memoized per
+(node, world) within one call, that reads the factors, not the plan, kept
+deliberately separate so the two can be differenced against each other.
 """
 
 from __future__ import annotations
@@ -681,39 +681,51 @@ def check(model: ProductModel, world: int, f: Formula) -> bool:
 
 
 def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
-    """Independent reference evaluator: plain recursion, no sharing, no cache.
+    """Independent reference evaluator: top-down recursion per world.
 
-    Deliberately structured differently from :func:`sat_mask` (per-world
-    recursion instead of bottom-up labeling) so the two implementations can
-    serve as oracles for each other.  It reads the product definition off
-    the factors, not the model's plan: box ``i`` at ``world`` visits the
-    worlds that change coordinate ``i`` from ``c`` to each ``y`` with
-    ``c -> y`` in factor ``i``.
+    Deliberately structured differently from :func:`sat_mask` (recursion
+    from ``world`` down instead of bottom-up labeling) so the two can serve
+    as oracles for each other.  It reads the product definition off the
+    factors, not the model's plan: box ``i`` at ``w`` visits the worlds that
+    change coordinate ``i`` from ``c`` to each ``y`` with ``c -> y`` in
+    factor ``i``.  A memo local to the call, keyed by ``(node, w)`` with the
+    :class:`Formula` object itself as the node, holds only values this
+    recursion computed, so a shared DAG costs at most its nodes times the
+    worlds, not its expanded tree, and nothing of ``sat_mask`` leaks in.
     """
     if not 0 <= world < model.codec.worlds:
         raise ValueError(f"unknown world {world}")
-    kind = f.kind
-    if kind == BOT:
-        return False
-    if kind == VAR:
-        return model.masks.get(f.idx, 0) >> world & 1 == 1
-    if kind == AND:
-        return (check_naive(model, world, f.children[0])
-                and check_naive(model, world, f.children[1]))
-    if kind == OR:
-        return (check_naive(model, world, f.children[0])
-                or check_naive(model, world, f.children[1]))
-    if kind == IMP:
-        return ((not check_naive(model, world, f.children[0]))
-                or check_naive(model, world, f.children[1]))
-    if f.idx > len(model.factors):
-        raise ModalityError(
-            f"box index {f.idx} exceeds frame arity {len(model.factors)}")
-    factor = model.factors[f.idx - 1]
-    stride = model.codec.strides[f.idx - 1]
-    c = world // stride % factor.worlds
-    return all(check_naive(model, world + (y - c) * stride, f.children[0])
-               for y in factor.succ[c])
+    masks, factors, strides = model.masks, model.factors, model.codec.strides
+    memo: dict[tuple[Formula, int], bool] = {}
+
+    def ev(w: int, g: Formula) -> bool:
+        value = memo.get((g, w))
+        if value is not None:
+            return value
+        kind = g.kind
+        if kind == BOT:
+            value = False
+        elif kind == VAR:
+            value = masks.get(g.idx, 0) >> w & 1 == 1
+        elif kind == AND:
+            value = ev(w, g.children[0]) and ev(w, g.children[1])
+        elif kind == OR:
+            value = ev(w, g.children[0]) or ev(w, g.children[1])
+        elif kind == IMP:
+            value = (not ev(w, g.children[0])) or ev(w, g.children[1])
+        else:  # BOX
+            if g.idx > len(factors):
+                raise ModalityError(
+                    f"box index {g.idx} exceeds frame arity {len(factors)}")
+            factor = factors[g.idx - 1]
+            stride = strides[g.idx - 1]
+            c = w // stride % factor.worlds
+            value = all(ev(w + (y - c) * stride, g.children[0])
+                        for y in factor.succ[c])
+        memo[g, w] = value
+        return value
+
+    return ev(world, f)
 
 
 def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,

@@ -321,3 +321,16 @@ class TestBench:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("depth,")
         assert len(lines) == 4
+
+    def test_negative_depth_exits_2(self, capsys):
+        code, out, err = run(capsys, "bench", "--max-depth", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--max-depth" in err
+        assert err.count("\n") == 1
+
+    def test_depth_zero_is_the_header_alone(self, capsys):
+        code, out, err = run(capsys, "bench", "--max-depth", "0")
+        assert code == 0
+        assert out.startswith("depth,") and out.count("\n") == 1
+        assert err == "bench: 0 depths, arity 2\n"

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onevar.formulas import FormulaStore, box_upto
+from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, FormulaStore,
+                             ModalityError, box_upto, postorder)
 from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
                            ModelFormatError, ProductModel, ShiftPlan,
                            bounded_reach, check, check_naive, ladder,
@@ -37,6 +38,46 @@ def tiled(plan, copies):
     return ShiftPlan(plan.arity, n * copies,
                      tuple(tuple((d, sources * ones) for d, sources in row)
                            for row in plan.steps))
+
+
+def naive_reference(model, world, f):
+    """Plain recursion with no memo, the reference for ``check_naive``: it
+    re-evaluates a shared subformula once per path to it, so it is
+    exponential on deep shared DAGs, and it must agree with ``check_naive``
+    at every world, a :class:`ModalityError` included."""
+    if not 0 <= world < model.codec.worlds:
+        raise ValueError(f"unknown world {world}")
+    kind = f.kind
+    if kind == BOT:
+        return False
+    if kind == VAR:
+        return model.masks.get(f.idx, 0) >> world & 1 == 1
+    if kind == AND:
+        return (naive_reference(model, world, f.children[0])
+                and naive_reference(model, world, f.children[1]))
+    if kind == OR:
+        return (naive_reference(model, world, f.children[0])
+                or naive_reference(model, world, f.children[1]))
+    if kind == IMP:
+        return ((not naive_reference(model, world, f.children[0]))
+                or naive_reference(model, world, f.children[1]))
+    if f.idx > len(model.factors):
+        raise ModalityError(
+            f"box index {f.idx} exceeds frame arity {len(model.factors)}")
+    factor = model.factors[f.idx - 1]
+    stride = model.codec.strides[f.idx - 1]
+    c = world // stride % factor.worlds
+    return all(naive_reference(model, world + (y - c) * stride, f.children[0])
+               for y in factor.succ[c])
+
+
+def outcome(evaluate, model, world, f):
+    """The truth of ``f`` at ``world`` by ``evaluate``, or
+    :class:`ModalityError` if it raised that."""
+    try:
+        return evaluate(model, world, f)
+    except ModalityError:
+        return ModalityError
 
 
 def definition(factors, modality):
@@ -376,7 +417,7 @@ class TestTruth:
 
 class TestDifferential:
     def test_sat_set_agrees_with_naive(self):
-        # 200 random (model, formula) pairs against the no-cache evaluator
+        # 200 random (model, formula) pairs against the naive evaluator
         store = FormulaStore()
         rng = random.Random(123)
         for _ in range(200):
@@ -462,6 +503,68 @@ class TestDifferential:
                           for v, m in val.items()}, 0, frame)
             for w in range(n):
                 assert bool(mask >> w & 1) == check_naive(model, w, f)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_memoized_naive_agrees_with_plain_recursion(self, data):
+        # the memo must not change any answer: at every world check_naive,
+        # the plain recursion and the sat_mask bit agree.  Formulas may use
+        # one box index above the arity; both evaluators then raise
+        # ModalityError at the same worlds, as their short-circuit order is
+        # the same.  Bigger formulas than elsewhere, so subformulas are
+        # shared and the memo is hit.
+        arity = data.draw(st.integers(1, 3))
+        factors = []
+        for _ in range(arity):
+            n = data.draw(st.integers(1, 3))
+            cells = [(a, b) for a in range(n) for b in range(n)]
+            edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+            factors.append(Frame1(n, edges))
+        n = CoordinateCodec(factor.worlds for factor in factors).worlds
+        model = ProductModel.from_masks(
+            factors, {v: data.draw(st.integers(0, (1 << n) - 1))
+                      for v in range(1, 4)}, 0)
+        store = FormulaStore()
+        f = random_formula(store, random.Random(data.draw(st.integers())),
+                           arity=arity + data.draw(st.integers(0, 1)),
+                           depth=4, size=24)
+        if any(g.kind == BOX and g.idx > arity for g in postorder(f)):
+            with pytest.raises(ModalityError):
+                sat_mask(model.frame, model.masks, f, {})
+            mask = None
+        else:
+            mask = sat_mask(model.frame, model.masks, f, {})
+        for w in range(n):
+            got = outcome(check_naive, model, w, f)
+            assert got == outcome(naive_reference, model, w, f)
+            if mask is not None:
+                assert got == bool(mask >> w & 1)
+
+    def test_box_above_arity_raises_in_both_evaluators(self, store):
+        chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
+        model = ProductModel([chain, chain], {1: [0, 3]}, 0)
+        f = store.or_(store.var(1), store.box(3, store.var(1)))
+        for evaluate in (check_naive, naive_reference):
+            # world 0 satisfies p1, so the box is never reached there
+            assert evaluate(model, 0, f)
+            with pytest.raises(ModalityError):
+                evaluate(model, 1, f)
+
+    def test_shared_dag_costs_its_nodes_not_its_tree(self):
+        # 60 levels of f = [1]f & [2]f: 183 nodes, but an expanded tree of
+        # about 4.6e18, which plain recursion cannot walk; check_naive
+        # visits each (node, world) pair once
+        store = FormulaStore()
+        f = store.var(1)
+        for _ in range(60):
+            f = store.and_(store.box(1, f), store.box(2, f))
+        assert f.tree_size > 4 * 10**18
+        complete = Frame1(2, [(a, b) for a in range(2) for b in range(2)])
+        model = ProductModel([complete, complete], {1: range(4)}, 0)
+        mask = sat_mask(model.frame, model.masks, f, {})
+        assert mask == 0b1111
+        for w in range(4):
+            assert check_naive(model, w, f) == bool(mask >> w & 1)
 
     def test_shift_plan_lists_every_edge_once(self):
         # the plan is the product relation regrouped by offset: reading the
