@@ -1,11 +1,13 @@
 """Finite Kripke frames, products, valuations and model checking.
 
-Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame.  Product
-worlds are numbered row-major by :class:`CoordinateCodec`, the one place that
-maps world indices to factor coordinates and back; a :class:`ProductModel`
-holds the codec of its factors.  A product frame is its :class:`ShiftPlan`,
-which :func:`product` builds straight from the factors' edges.  Frames,
-models and satisfaction sets are immutable after construction.
+Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame, stored
+as its own one-factor plan: one source mask per edge offset.  Product worlds
+are numbered row-major by :class:`CoordinateCodec`, the one place that maps
+world indices to factor coordinates and back; a :class:`ProductModel` holds
+the codec of its factors.  A product frame is its :class:`ShiftPlan`, which
+:func:`product` builds by widening each factor's masks by the factor's
+stride.  Frames, models and satisfaction sets are immutable after
+construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
 using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
@@ -37,38 +39,41 @@ class ModelFormatError(ValueError):
     """Malformed JSON frame or model description."""
 
 
-def _normalize_edges(edges: Iterable[tuple[int, int]],
-                     worlds: int) -> tuple[tuple[int, int], ...]:
-    out = sorted({(a, b) for a, b in edges})
-    # sorted by source, so the sources' range is at the two ends
-    targets = [b for _, b in out]
-    if out and not (0 <= out[0][0] and out[-1][0] < worlds
-                    and 0 <= min(targets) and max(targets) < worlds):
-        a, b = next((a, b) for a, b in out
-                    if not (0 <= a < worlds and 0 <= b < worlds))
-        raise ValueError(f"edge ({a}, {b}) outside worlds 0..{worlds - 1}")
-    return tuple(out)
-
-
 class Frame1:
-    """Finite unimodal frame: ``worlds`` points and a sorted edge set.
+    """Finite unimodal frame, stored as its own one-factor shift plan.
 
-    Equality and hashing consider ``(worlds, edges)`` only; ``labels`` are
-    annotations (gadget point names) and do not affect identity.
+    ``offsets`` lists one ``(d, sources)`` pair per offset ``d`` in
+    increasing order: ``sources`` is the mask of the worlds ``x`` with an
+    edge ``x -> x + d``, never 0.  This is the row format of
+    :attr:`ShiftPlan.steps`, and :func:`product` widens it by each factor's
+    stride.  ``edges`` (the sorted edge pairs) is derived from it on each
+    read, and ``succ`` (each world's successors) on the first.  The
+    constructor takes edges, :meth:`from_offsets` the masks.
+
+    Equality and hashing consider ``(worlds, offsets)``, that is the
+    relation, only; ``labels`` are annotations (gadget point names) and do
+    not affect identity.
     """
 
-    __slots__ = ("worlds", "edges", "succ", "labels")
+    __slots__ = ("worlds", "offsets", "labels", "_succ")
 
     def __init__(self, worlds: int, edges: Iterable[tuple[int, int]],
                  labels: Mapping[str, int] | None = None):
         if worlds < 1:
             raise ValueError("a frame needs at least one world")
+        sources: dict[int, int] = {}
+        outside = []
+        for a, b in edges:
+            if 0 <= a < worlds and 0 <= b < worlds:
+                sources[b - a] = sources.get(b - a, 0) | 1 << a
+            else:
+                outside.append((a, b))
+        if outside:
+            a, b = min(outside)
+            raise ValueError(f"edge ({a}, {b}) outside worlds 0..{worlds - 1}")
         self.worlds = worlds
-        self.edges = _normalize_edges(edges, worlds)
-        succ: list[list[int]] = [[] for _ in range(worlds)]
-        for a, b in self.edges:
-            succ[a].append(b)
-        self.succ = tuple(tuple(s) for s in succ)
+        self.offsets = tuple(sorted(sources.items()))
+        self._succ = None
         self.labels = dict(labels) if labels else {}
         points = self.labels.values()
         if points and not (0 <= min(points) and max(points) < worlds):
@@ -76,18 +81,55 @@ class Frame1:
                            if not 0 <= w < worlds)
             raise ValueError(f"label {name!r} points at missing world {w}")
 
+    @classmethod
+    def from_offsets(cls, worlds: int, offsets: Mapping[int, int],
+                     labels: Mapping[str, int] | None) -> "Frame1":
+        """The frame with an edge ``x -> x + d`` for each bit ``x`` of
+        ``offsets[d]``; zero masks are dropped.  Rejects a negative mask and
+        an edge whose source or target lies outside the worlds, in a few
+        big-integer operations per offset."""
+        frame = cls(worlds, (), labels)
+        for d, sources in offsets.items():
+            # the sources x with x and x + d in 0..worlds-1 are the bits
+            # from ``low`` up to ``high``
+            low = min(max(-d, 0), worlds)
+            high = max(min(worlds - d, worlds), 0)
+            if sources < 0 or sources >> high or sources & (1 << low) - 1:
+                raise ValueError(f"offset {d} has an edge outside worlds "
+                                 f"0..{worlds - 1}")
+        frame.offsets = tuple(sorted((d, s) for d, s in offsets.items() if s))
+        return frame
+
+    @property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """Each world's successors in increasing order; derived on the
+        first read and kept, as :func:`check_naive` reads them on every
+        call and a search's witness frames recur."""
+        if self._succ is None:
+            succ: list[list[int]] = [[] for _ in range(self.worlds)]
+            for d, sources in self.offsets:  # increasing d: lists sorted
+                for x in bit_indices(sources):
+                    succ[x].append(x + d)
+            self._succ = tuple(map(tuple, succ))
+        return self._succ
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs, in sorted order."""
+        return tuple(sorted([(x, x + d) for d, sources in self.offsets
+                             for x in bit_indices(sources)]))
+
     @property
     def is_reflexive(self) -> bool:
-        edge_set = set(self.edges)
-        return all((w, w) in edge_set for w in range(self.worlds))
+        return (0, (1 << self.worlds) - 1) in self.offsets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame1):
             return NotImplemented
-        return self.worlds == other.worlds and self.edges == other.edges
+        return self.worlds == other.worlds and self.offsets == other.offsets
 
     def __hash__(self) -> int:
-        return hash((self.worlds, self.edges))
+        return hash((self.worlds, self.offsets))
 
     def __repr__(self) -> str:
         return f"Frame1(worlds={self.worlds}, edges={len(self.edges)})"
@@ -129,9 +171,7 @@ def _json_int(value) -> int:
 def reflexive_closure(edges: Iterable[tuple[int, int]],
                       worlds: int) -> tuple[tuple[int, int], ...]:
     """The relation plus the identity on ``0..worlds-1``; idempotent."""
-    out = set(edges)
-    out.update((w, w) for w in range(worlds))
-    return _normalize_edges(out, worlds)
+    return Frame1(worlds, [*edges, *((w, w) for w in range(worlds))]).edges
 
 
 def ladder(k: int) -> Frame1:
@@ -176,12 +216,28 @@ def _runs(bits: int, step: int, count: int) -> int:
     """Bit ``j`` of ``bits`` widened to bits ``j*step .. j*step + step - 1``,
     for ``j < count``.
 
-    Linear in ``step * count``: when ``step`` is a whole number of bytes, a
-    strided byte copy moves bit ``j`` to bit ``j * step``; otherwise
+    A step of 1 is the identity.  When the runs of consecutive ones are
+    sparse, at most one per 64 bits (a frame's full self-loop mask, or a
+    single source), each run is widened by one shift.  Otherwise the cost
+    is linear in ``step * count``: when ``step`` is a whole number of bytes,
+    a strided byte copy moves bit ``j`` to bit ``j * step``; otherwise
     ``step - 1`` zero digits go between the binary digits.  One subtraction
     then fills each run.
     """
-    digits = format(bits & (1 << count) - 1, f"0{count}b")
+    bits &= (1 << count) - 1
+    if step == 1:
+        return bits
+    if (bits & ~(bits << 1)).bit_count() * 64 <= count:  # one per run
+        out = at = 0
+        while bits:
+            skip = (bits & -bits).bit_length() - 1  # zeros below the run
+            bits >>= skip
+            length = (bits ^ (bits + 1)).bit_length() - 1
+            out |= ((1 << length * step) - 1) << (at + skip) * step
+            bits >>= length
+            at += skip + length
+        return out
+    digits = format(bits, f"0{count}b")
     if step % 8:
         starts = int(("0" * (step - 1)).join(digits), 2)
     else:
@@ -271,23 +327,23 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
     """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
     coordinate ``i`` along the i-th factor's relation.
 
-    Factor ``i``'s edge ``x -> y`` is offset ``(y - x) * strides[i]``, and
-    its sources are the worlds whose coordinate ``i`` is ``x``.  So the
-    cost is one big-integer shift per factor world and one OR per factor
-    edge, whatever the number of product worlds.
+    Each factor is its own one-factor plan, and the product widens it: the
+    factor's offset ``d`` is offset ``d * strides[i]``, and its sources are
+    the worlds whose coordinate ``i`` is a source of the factor, so each
+    source bit becomes a run of ``strides[i]`` worlds (see :func:`_runs`),
+    repeated every ``size_i * strides[i]`` worlds by one product with a
+    repunit.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
     steps = []
-    for factor, (stride, column) in zip(factors, _zero_columns(codec)):
-        sources: dict[int, int] = {}
-        for x, targets in enumerate(factor.succ):
-            part = column << x * stride
-            for y in targets:
-                d = (y - x) * stride
-                sources[d] = sources.get(d, 0) | part
-        steps.append(tuple(sorted(sources.items())))
+    for factor, stride in zip(factors, codec.strides):
+        period = factor.worlds * stride
+        repeat = repunit(period, codec.worlds // period)
+        steps.append(tuple(
+            (d * stride, _runs(sources, stride, factor.worlds) * repeat)
+            for d, sources in factor.offsets))
     return ShiftPlan(len(factors), codec.worlds, tuple(steps))
 
 
@@ -303,12 +359,22 @@ class FrameList:
         if not self.frames:
             raise ValueError("a frame list needs at least one frame")
         self.worlds = self.frames[0].worlds
-        edges: dict[tuple[int, int], int] = {}
+        # the frames of each (offset, sources) row, as binary digits (the
+        # last digit is frame 0); frames of one size share a few rows
+        rows: dict[tuple[int, int], bytearray] = {}
         for j, frame in enumerate(self.frames):
             if frame.worlds != self.worlds:
                 raise ValueError("the frames of a list share one size")
-            for edge in frame.edges:
-                edges[edge] = edges.get(edge, 0) | 1 << j
+            for row in frame.offsets:
+                digits = rows.get(row)
+                if digits is None:
+                    digits = rows[row] = bytearray(b"0") * len(self.frames)
+                digits[~j] = 49  # ord("1")
+        edges: dict[tuple[int, int], int] = {}
+        for (d, sources), digits in rows.items():
+            mask = int(digits, 2)
+            for x in bit_indices(sources):
+                edges[x, x + d] = edges.get((x, x + d), 0) | mask
         self.edges = edges
 
 
@@ -417,7 +483,8 @@ def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
     """Subframe on ``keep``: the relation intersected with ``keep`` squared.
 
     Worlds are renumbered in increasing order of their old indices; labels
-    follow the renumbering.
+    follow the renumbering.  Only the kept sources with a kept target are
+    read off each offset's mask.
     """
     kept = sorted(set(keep))
     if not kept:
@@ -425,8 +492,10 @@ def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
     if any(not 0 <= w < frame.worlds for w in kept):
         raise ValueError("keep set mentions missing worlds")
     remap = {old: new for new, old in enumerate(kept)}
-    edges = [(remap[a], remap[b]) for a, b in frame.edges
-             if a in remap and b in remap]
+    rows = sum(1 << w for w in kept)
+    edges = [(remap[x], remap[x + d]) for d, sources in frame.offsets
+             for x in bit_indices(sources & rows
+                                  & (rows >> d if d >= 0 else rows << -d))]
     labels = {name: remap[w] for name, w in frame.labels.items()
               if w in remap}
     return Frame1(len(kept), edges, labels)
@@ -695,7 +764,8 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     """
     if not 0 <= world < model.codec.worlds:
         raise ValueError(f"unknown world {world}")
-    masks, factors, strides = model.masks, model.factors, model.codec.strides
+    masks, strides = model.masks, model.codec.strides
+    factors = [(factor.worlds, factor.succ) for factor in model.factors]
     memo: dict[tuple[Formula, int], bool] = {}
 
     def ev(w: int, g: Formula) -> bool:
@@ -717,11 +787,11 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
             if g.idx > len(factors):
                 raise ModalityError(
                     f"box index {g.idx} exceeds frame arity {len(factors)}")
-            factor = factors[g.idx - 1]
+            worlds, succ = factors[g.idx - 1]
             stride = strides[g.idx - 1]
-            c = w // stride % factor.worlds
+            c = w // stride % worlds
             value = all(ev(w + (y - c) * stride, g.children[0])
-                        for y in factor.succ[c])
+                        for y in succ[c])
         memo[g, w] = value
         return value
 

@@ -51,21 +51,6 @@ class ExtractionFailed(RuntimeError):
     """The extracted model failed its own verification model check."""
 
 
-@dataclass(frozen=True)
-class GadgetPoint:
-    """Position of one ladder point in an extended first factor."""
-
-    ladder: int   # which ladder copy (1 .. m+1)
-    base: int     # the first-factor base world the copy hangs below
-    role: str     # "v" or "w"
-    rung: int     # position along the ladder (0 .. ladder)
-
-    @property
-    def label(self) -> str:
-        """Output name of the point, e.g. ``v0.k1.x0``."""
-        return f"{self.role}{self.rung}.k{self.ladder}.x{self.base}"
-
-
 def copy_start(base_worlds: int, k: int, x: int) -> int:
     """First world of the ladder-``k`` copy below base world ``x`` in a first
     factor of ``base_worlds`` worlds extended by :func:`attach_gadgets`.
@@ -80,23 +65,6 @@ def copy_start(base_worlds: int, k: int, x: int) -> int:
     return base_worlds * (1 + (k - 1) * (k + 2)) + 2 * (k + 1) * x
 
 
-def gadget_layout(base_worlds: int, m: int) -> dict[int, GadgetPoint]:
-    """World index of every ladder point :func:`attach_gadgets` adds to a
-    first factor of ``base_worlds`` worlds with variable limit ``m``, by
-    :func:`copy_start`; for reports and tests.
-    """
-    out: dict[int, GadgetPoint] = {}
-    for k in range(1, m + 2):
-        for x in range(base_worlds):
-            world = copy_start(base_worlds, k, x)
-            for i in range(k + 1):
-                out[world + 2 * i] = GadgetPoint(ladder=k, base=x, role="v",
-                                                 rung=i)
-                out[world + 2 * i + 1] = GadgetPoint(ladder=k, base=x,
-                                                     role="w", rung=i)
-    return out
-
-
 def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     """Extend a first factor with ladder copies of lengths ``1 .. m+1`` below
     every world.
@@ -106,9 +74,14 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     edge from its base world to the copy's ``v0``.  Outside K-mode the input
     must be reflexive and the result is closed under reflexivity, so the
     extended frame stays a T-frame and restricting it to the original worlds
-    gives back exactly ``f1``.  The gadget points carry their
-    :attr:`GadgetPoint.label` as frame labels, for output only; code reads
-    positions from :func:`copy_start`.
+    gives back exactly ``f1``.  The gadget points carry labels such as
+    ``v0.k1.x0`` (rung ``v0`` of the ladder-1 copy below base world 0), for
+    output only; code reads positions from :func:`copy_start`.
+
+    The relation is written in closed form, per offset (see
+    :meth:`Frame1.from_offsets`): the base frame's offsets, a self-loop at
+    every world, one chain mask per ladder length and one entry bit per
+    copy.
     """
     if m < 0:
         raise ValueError("variable limit must be >= 0")
@@ -116,21 +89,28 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
         raise PreconditionFailed(
             "the first factor must be reflexive (use k_mode for K frames)")
     base = f1.worlds
-    edges: list[tuple[int, int]] = list(f1.edges)
+    worlds = copy_start(base, m + 2, 0)
+    sources = dict(f1.offsets)
+    if not k_mode:
+        sources[0] = (1 << worlds) - 1
     labels = dict(f1.labels)
+    below = [f".x{x}" for x in range(base)]
     for k in range(1, m + 2):
-        for x in range(base):
-            start = copy_start(base, k, x)
-            end = start + 2 * (k + 1)
-            edges.append((x, start))                 # entry edge to v0
-            # v_i -> w_i -> v_{i+1}: each point to the next one
-            edges.extend((w, w + 1) for w in range(start, end - 1))
-            if not k_mode:
-                edges.extend((w, w) for w in range(start, end))
-            for i in range(k + 1):
-                labels[f"v{i}.k{k}.x{x}"] = start + 2 * i
-                labels[f"w{i}.k{k}.x{x}"] = start + 2 * i + 1
-    return Frame1(copy_start(base, m + 2, 0), edges, labels)
+        size = 2 * (k + 1)
+        first = copy_start(base, k, 0)
+        # v_i -> w_i -> v_{i+1}: every point of a copy but the last to the
+        # next one
+        chain = ((1 << size - 1) - 1) * repunit(size, base) << first
+        sources[1] = sources.get(1, 0) | chain
+        for x in range(base):  # the entry edge x -> v0
+            entry = first + size * x - x
+            sources[entry] = sources.get(entry, 0) | 1 << x
+        # the copies of length k in world order: v0, w0, .., vk, wk below
+        # each base world in turn
+        rungs = [f"{role}{i}.k{k}" for i in range(k + 1) for role in "vw"]
+        labels.update(zip([rung + x for x in below for rung in rungs],
+                          range(first, first + size * base)))
+    return Frame1.from_offsets(worlds, sources, labels)
 
 
 def lift_valuation(base: ProductModel, m: int, variant) -> int:
@@ -268,8 +248,8 @@ def check_marker_exactness(result: TransferResult,
                            ctx: TranslationContext) -> SurgeryReport:
     """The base marker must hold at exactly the original points.
 
-    Extra points are classified by their gadget position so a leak names the
-    ladder point responsible.
+    An extra point is named by the gadget label of its first coordinate, so
+    a leak names the ladder point responsible.
     """
     model = result.model
     sat = model.sat(ctx.base_marker())
@@ -279,10 +259,9 @@ def check_marker_exactness(result: TransferResult,
     extras = bit_indices(sat & ~base)
     if extras:
         columns = model.codec.strides[0]
-        gadgets = gadget_layout(len(result.base_points) // columns,
-                                ctx.var_limit)
-        violations += [("extra", model.coords_of(w),
-                        gadgets[w // columns].label) for w in extras]
+        names = {w: name for name, w in model.factors[0].labels.items()}
+        violations += [("extra", model.coords_of(w), names[w // columns])
+                       for w in extras]
     return SurgeryReport("marker-exactness",
                          model.codec.worlds, tuple(violations))
 

@@ -98,6 +98,11 @@ def variant_by_name(name: str) -> VariantConfig:
     raise ValueError(f"unknown variant {name!r}; known: {known}")
 
 
+# The reduction has about 8 DAG nodes per unit of the largest variable index,
+# so the index is capped before any of it is built
+MAX_VARIABLE_INDEX = 4096
+
+
 class TranslationContext:
     """Frozen parameters of one reduction: arity, variable budget, depth, variant.
 
@@ -105,6 +110,7 @@ class TranslationContext:
     extra marker has index ``var_limit + 1``), and ``depth`` is the source
     formula's modal depth, fixed before lowering because the guard's bounded
     modalities depend on it.  All emitted formulas use only variable index 0.
+    A ``var_limit`` above :data:`MAX_VARIABLE_INDEX` raises ``ValueError``.
     """
 
     def __init__(self, store: FormulaStore, arity: int, var_limit: int,
@@ -113,6 +119,9 @@ class TranslationContext:
             raise ValueError("arity must be >= 1")
         if var_limit < 0:
             raise ValueError("variable limit must be >= 0")
+        if var_limit > MAX_VARIABLE_INDEX:
+            raise ValueError(f"variable index {var_limit} is above the cap "
+                             f"of {MAX_VARIABLE_INDEX}")
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.store = store

@@ -95,6 +95,16 @@ class TestTranslate:
         assert code == 0
         assert json.loads(out)["reduction_dag"][-1]["kind"] == "imp"
 
+    @pytest.mark.parametrize("text", ["p4097", "p9999999999999999999999"],
+                             ids=["above-cap", "22-digits"])
+    def test_variable_index_above_cap_exits_2(self, capsys, text):
+        # the reduction grows with the index; a 22-digit one used to run
+        # until the process was killed for memory
+        code, out, err = run(capsys, "translate", text)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: variable index {text[1:]} is above the cap of 4096"]
+
     @pytest.mark.parametrize("text", ["~" * 1500 + "p1",
                                       "(" * 1500 + "p1" + ")" * 1500],
                              ids=["negations", "parentheses"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, FormulaStore,
                              ModalityError, box_upto, postorder)
 from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
-                           ModelFormatError, ProductModel, ShiftPlan,
+                           ModelFormatError, ProductModel, ShiftPlan, _runs,
                            bounded_reach, check, check_naive, ladder,
                            product, reflexive_closure, repunit, restrict,
                            sat_mask, sat_set)
@@ -92,10 +92,111 @@ def definition(factors, modality):
         for y in factors[i].succ[c[i]])
 
 
+# ---------------------------------------------------------------------------
+# Edge-list references: product() and restrict() as they were written when a
+# frame stored its sorted edge list, one Python step per edge.  The mask code
+# must give equal plans and equal frames.
+# ---------------------------------------------------------------------------
+
+def edge_product(factors):
+    """The product plan built edge by edge: factor ``i``'s edge ``x -> y``
+    is offset ``(y - x) * strides[i]``, and the worlds whose coordinate
+    ``i`` is ``x``, a column of runs, are ORed into its sources."""
+    codec = CoordinateCodec(f.worlds for f in factors)
+    steps = []
+    for factor, stride in zip(factors, codec.strides):
+        period = factor.worlds * stride
+        column = ((1 << stride) - 1) * repunit(period, codec.worlds // period)
+        sources = {}
+        for x, y in factor.edges:
+            d = (y - x) * stride
+            sources[d] = sources.get(d, 0) | column << x * stride
+        steps.append(tuple(sorted(sources.items())))
+    return ShiftPlan(len(factors), codec.worlds, tuple(steps))
+
+
+def edge_restrict(frame, keep):
+    """The subframe on ``keep`` by a scan over every edge."""
+    kept = sorted(set(keep))
+    remap = {old: new for new, old in enumerate(kept)}
+    edges = [(remap[a], remap[b]) for a, b in frame.edges
+             if a in remap and b in remap]
+    labels = {name: remap[w] for name, w in frame.labels.items()
+              if w in remap}
+    return Frame1(len(kept), edges, labels)
+
+
+@st.composite
+def frames(draw, max_worlds=4):
+    """A frame of 1..``max_worlds`` worlds with any edges, or now and then
+    one of 60..140 worlds with a few edges, with or without a self-loop at
+    every world: sparse source masks over many worlds, which product()
+    widens one run at a time."""
+    if draw(st.integers(0, 4)):
+        n = draw(st.integers(1, max_worlds))
+        cells = [(a, b) for a in range(n) for b in range(n)]
+        return Frame1(n, draw(st.lists(st.sampled_from(cells))))
+    n = draw(st.integers(60, 140))
+    world = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(world, world), max_size=8))
+    if draw(st.booleans()):
+        edges += [(w, w) for w in range(n)]
+    return Frame1(n, edges)
+
+
 class TestFrame1:
     def test_edges_validated(self):
         with pytest.raises(ValueError):
             Frame1(2, [(0, 2)])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_one_relation_is_one_frame(self, data):
+        # permuted, duplicated or differently labelled edge lists of one
+        # relation give equal frames with equal hashes; the masks give the
+        # same frame back
+        n = data.draw(st.integers(1, 4))
+        cells = [(a, b) for a in range(n) for b in range(n)]
+        edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        frame = Frame1(n, edges)
+        again = data.draw(st.permutations(
+            edges + data.draw(st.lists(st.sampled_from(edges or cells),
+                                       max_size=4 if edges else 0))))
+        other = Frame1(n, again, {"root": data.draw(st.integers(0, n - 1))})
+        assert other == frame and hash(other) == hash(frame)
+        assert other.edges == frame.edges == tuple(sorted(edges))
+        assert frame.succ == tuple(tuple(sorted(b for a, b in edges if a == x))
+                                   for x in range(n))
+        masks = Frame1.from_offsets(n, dict(frame.offsets), other.labels)
+        assert masks == frame and masks.labels == other.labels
+
+    def test_edge_error_names_the_lowest_outside_edge(self):
+        # the lowest out-of-range pair in sorted order, whatever the input
+        # order, as when the edges were sorted before they were checked
+        bad = [(3, 0), (0, 1), (1, -1), (2, 5), (-1, 2), (1, 3)]
+        lowest = r"^edge \(-1, 2\) outside worlds 0\.\.2$"
+        for edges in (bad, bad[::-1]):
+            with pytest.raises(ValueError, match=lowest):
+                Frame1(3, edges)
+        with pytest.raises(ValueError, match=r"^edge \(0, 5\) "):
+            Frame1(3, [(2, 3), (1, 1), (0, 5)])
+
+    def test_masks_entry_point(self):
+        # from_offsets takes the masks by offset, drops empty ones, and
+        # rejects a negative mask and every edge with a source or target
+        # outside the worlds
+        frame = Frame1(3, [(0, 0), (0, 2), (2, 0), (1, 2)])
+        assert Frame1.from_offsets(
+            3, {0: 0b001, 2: 0b001, -2: 0b100, 1: 0b010, 5: 0}, None) == frame
+        for offsets in ({0: -1}, {0: 1 << 3}, {1: 1 << 2}, {-1: 1}, {3: 1},
+                        {-3: 1 << 2}, {2: 0b010}, {10**30: 1},
+                        {-10**30: 1}):
+            with pytest.raises(ValueError):
+                Frame1.from_offsets(3, offsets, None)
+        with pytest.raises(ValueError):
+            Frame1.from_offsets(1, {0: 1}, {"far": 1})
+        with pytest.raises(ValueError):
+            Frame1.from_offsets(0, {}, None)
 
     def test_equality_ignores_labels(self):
         a = Frame1(2, [(0, 1)], {"root": 0})
@@ -208,6 +309,15 @@ class TestProduct:
         with pytest.raises(ValueError):
             product([])
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_widened_masks_match_the_edge_build(self, data):
+        # up to three factors, with irreflexive points, negative offsets and
+        # now and then a factor of 60..140 worlds
+        factors = [data.draw(frames())
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        assert product(factors).steps == edge_product(factors).steps
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_plan_is_the_product_definition(self, data):
@@ -229,6 +339,27 @@ class TestProduct:
             for a, b in definition(factors, i):
                 sources[b - a] = sources.get(b - a, 0) | 1 << a
             assert list(row) == sorted(sources.items())
+
+
+class TestRuns:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_each_bit_becomes_a_run(self, data):
+        # sparse runs take one shift per run, dense ones the digit or byte
+        # spread, and a step of 1 is the identity; each must widen bit j
+        # to bits j*step .. j*step + step - 1, and drop bits from count up
+        count = data.draw(st.integers(1, 400))
+        step = data.draw(st.sampled_from([1, 2, 3, 7, 8, 16, 24]))
+        bits = data.draw(st.one_of(
+            st.integers(0, (1 << count + 8) - 1),
+            st.lists(st.tuples(st.integers(0, count + 8),
+                               st.integers(1, 70)), max_size=5).map(
+                lambda runs: sum(((1 << n) - 1) << at for at, n in runs))))
+        expected = 0
+        for j in range(count):
+            if bits >> j & 1:
+                expected |= ((1 << step) - 1) << j * step
+        assert _runs(bits, step, count) == expected
 
 
 class TestRepunit:
@@ -345,6 +476,18 @@ class TestRestrict:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             restrict(ladder(1), [])
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_kept_rows_match_the_edge_scan(self, data):
+        frame = data.draw(frames())
+        frame = Frame1(frame.worlds, frame.edges,
+                       {f"w{w}": w for w in range(0, frame.worlds, 3)})
+        world = st.integers(0, frame.worlds - 1)
+        keep = data.draw(st.lists(world, min_size=1))
+        got, want = restrict(frame, keep), edge_restrict(frame, keep)
+        assert got == want and got.edges == want.edges
+        assert got.labels == want.labels
 
 
 class TestTruth:

@@ -1,6 +1,7 @@
 """Countermodel surgeries: gadget attachment, transfer, extraction, scans."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,21 +11,53 @@ from onevar.formulas import FormulaStore, parse, subformulas
 from onevar.search import random_formula
 from onevar.kripke import (CoordinateCodec, Frame1, ProductModel,
                            bit_indices, bounded_reach, check, check_naive,
-                           ladder, restrict, sat_set)
+                           ladder, product, restrict, sat_set)
 from onevar.surgery import (ExtractionFailed, ExtractionResult,
                             PreconditionFailed, SurgeryReport,
                             TransferFailed, attach_gadgets, build_extraction,
                             build_transfer, check_kept_points_marked,
                             check_marker_agreement, check_marker_exactness,
                             check_subformula_preservation, copy_start,
-                            extract_countermodel, gadget_layout,
-                            lift_valuation, transfer_countermodel)
+                            extract_countermodel, lift_valuation,
+                            transfer_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
+from tests.test_kripke import edge_product, edge_restrict
 
 REFLEXIVE_POINT = Frame1(1, [(0, 0)])
 REFLEXIVE_CHAIN = Frame1(2, [(0, 0), (1, 1), (0, 1)])
+
+
+@dataclass(frozen=True)
+class GadgetPoint:
+    """Position of one ladder point in an extended first factor."""
+
+    ladder: int   # which ladder copy (1 .. m+1)
+    base: int     # the first-factor base world the copy hangs below
+    role: str     # "v" or "w"
+    rung: int     # position along the ladder (0 .. ladder)
+
+    @property
+    def label(self) -> str:
+        """Output name of the point, e.g. ``v0.k1.x0``."""
+        return f"{self.role}{self.rung}.k{self.ladder}.x{self.base}"
+
+
+def gadget_layout(base_worlds, m):
+    """World index of every ladder point :func:`attach_gadgets` adds to a
+    first factor of ``base_worlds`` worlds with variable limit ``m``, by
+    :func:`copy_start`."""
+    out = {}
+    for k in range(1, m + 2):
+        for x in range(base_worlds):
+            world = copy_start(base_worlds, k, x)
+            for i in range(k + 1):
+                out[world + 2 * i] = GadgetPoint(ladder=k, base=x, role="v",
+                                                 rung=i)
+                out[world + 2 * i + 1] = GadgetPoint(ladder=k, base=x,
+                                                     role="w", rung=i)
+    return out
 
 
 def make_ctx(store, text, variant=DEFAULT_VARIANT):
@@ -91,6 +124,67 @@ class TestAttachGadgets:
         assert ext.labels == {"root": 0,
                               **{gp.label: w for w, gp in layout.items()}}
         assert layout[base.worlds].label == "v0.k1.x0"
+
+
+def edge_list_gadgets(f1, m, k_mode):
+    """:func:`attach_gadgets` as it was written on edge lists: every copy's
+    entry edge, chain edges and loops listed one by one, and two labels
+    per rung."""
+    base = f1.worlds
+    edges = list(f1.edges)
+    labels = dict(f1.labels)
+    for k in range(1, m + 2):
+        for x in range(base):
+            start = copy_start(base, k, x)
+            end = start + 2 * (k + 1)
+            edges.append((x, start))
+            edges.extend((w, w + 1) for w in range(start, end - 1))
+            if not k_mode:
+                edges.extend((w, w) for w in range(start, end))
+            for i in range(k + 1):
+                labels[f"v{i}.k{k}.x{x}"] = start + 2 * i
+                labels[f"w{i}.k{k}.x{x}"] = start + 2 * i + 1
+    return Frame1(copy_start(base, m + 2, 0), edges, labels)
+
+
+class TestGadgetsMatchEdgeLists:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_in_products_and_restrictions(self, data):
+        # bases of 1-4 worlds with any edges (irreflexive points and
+        # negative offsets in K-mode), m = 0..6; the extended factor and its
+        # labels equal the edge-list build's, and so do its products, with
+        # the gadget factor first, in the middle and last, and its
+        # restrictions
+        k_mode = data.draw(st.booleans())
+        n = data.draw(st.integers(1, 4))
+        cells = [(a, b) for a in range(n) for b in range(n)]
+        edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        if not k_mode:
+            edges += [(w, w) for w in range(n)]
+        base = Frame1(n, edges, {"root": 0} if data.draw(st.booleans())
+                      else None)
+        m = data.draw(st.integers(0, 6))
+        ext = attach_gadgets(base, m, k_mode=k_mode)
+        want = edge_list_gadgets(base, m, k_mode)
+        assert ext == want and hash(ext) == hash(want)
+        assert ext.edges == want.edges and ext.labels == want.labels
+
+        others = []
+        for _ in range(2):
+            size = data.draw(st.integers(1, 3))
+            pairs = [(a, b) for a in range(size) for b in range(size)]
+            others.append(Frame1(size, data.draw(st.lists(
+                st.sampled_from(pairs), unique=True))))
+        for at in range(3):
+            factors = others[:at] + [ext] + others[at:]
+            assert product(factors).steps == edge_product(
+                others[:at] + [want] + others[at:]).steps
+
+        world = st.integers(0, ext.worlds - 1)
+        keep = data.draw(st.lists(world, min_size=1, max_size=40))
+        got, cut = restrict(ext, keep), edge_restrict(want, keep)
+        assert got == cut and got.labels == cut.labels
 
 
 def lifted_coords(base, m, variant):

@@ -9,9 +9,10 @@ from onevar.formulas import (FormulaStore, ModalityError, composite_dia,
                              subformulas, variables)
 from onevar.kripke import ProductModel, ladder, sat_set
 from onevar.translation import (COMPOSITE, DEFAULT_VARIANT,
-                                K_MODE_DEFAULT_VARIANT, PLAIN, VARIANT_GRID,
-                                ReservedVariableError, TranslationContext,
-                                VariantConfig, variant_by_name)
+                                K_MODE_DEFAULT_VARIANT, MAX_VARIABLE_INDEX,
+                                PLAIN, VARIANT_GRID, ReservedVariableError,
+                                TranslationContext, VariantConfig,
+                                variant_by_name)
 from tests.test_formulas import random_formula
 from tests.test_kripke import label_names
 
@@ -269,6 +270,15 @@ class TestReduce:
         f = parse("p3", 2, store)
         assert ctx.reduce(f) is store.imp(ctx.uniform_guard(),
                                           ctx.var_marker(3))
+
+    def test_variable_index_is_capped(self, store):
+        # the reduction is linear in the largest index, so an index above
+        # the cap is refused before anything is built
+        ctx = TranslationContext(store, 2, MAX_VARIABLE_INDEX, 0)
+        assert ctx.var_limit == MAX_VARIABLE_INDEX
+        for index in (MAX_VARIABLE_INDEX + 1, 10**21):
+            with pytest.raises(ValueError, match=str(MAX_VARIABLE_INDEX)):
+                ctx_for(store, f"p{index}")
 
     def test_dag_growth_bounded(self, store):
         # measured fit: the reduction adds a dag cost linear in arity*depth
