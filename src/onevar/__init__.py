@@ -20,12 +20,9 @@ from onevar.formulas import (
 from onevar.kripke import (
     Frame1,
     ProductModel,
-    bounded_reach,
     check,
     check_naive,
-    ladder,
     product,
-    reflexive_closure,
     restrict,
     sat_set,
 )
@@ -50,12 +47,9 @@ __all__ = [
     "variables",
     "Frame1",
     "ProductModel",
-    "bounded_reach",
     "check",
     "check_naive",
-    "ladder",
     "product",
-    "reflexive_closure",
     "restrict",
     "sat_set",
     "DEFAULT_VARIANT",

@@ -90,8 +90,12 @@ def _budget(args) -> SearchBudget:
 
 
 def _load_model(path: str) -> ProductModel:
+    """A model file, or a command's output with the model under "model"."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if (isinstance(doc, dict) and "factors" not in doc
+            and isinstance(doc.get("model"), dict)):
+        doc = doc["model"]
     return ProductModel.from_json(doc)
 
 
@@ -209,8 +213,8 @@ def cmd_suite(args) -> int:
     else:
         corpus = list(DEFAULT_SUITE_CORPUS)
     budget = _budget(args)
-    reduction_budget = dataclasses.replace(
-        budget, per_factor_max=(args.reduction_worlds, 1))
+    per_factor = (args.reduction_worlds,) + (1,) * (len(classes) - 1)
+    reduction_budget = dataclasses.replace(budget, per_factor_max=per_factor)
     report = differential_suite(corpus, classes, budget, reduction_budget,
                                 store, _variant(args, args.k_mode),
                                 k_mode=args.k_mode)

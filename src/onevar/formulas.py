@@ -15,7 +15,7 @@ interned DAG; ``tree_size`` is a number, never a materialized tree.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
 BOT = "bot"
 VAR = "var"
@@ -195,12 +195,6 @@ def postorder(f: Formula) -> tuple[Formula, ...]:
     return order
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All distinct subformulas of ``f`` (each interned node once), children
-    before parents."""
-    return iter(postorder(f))
-
-
 def dag_size(f: Formula) -> int:
     """Number of distinct interned nodes reachable from ``f``."""
     return len(postorder(f))
@@ -232,7 +226,7 @@ def box_upto(store: FormulaStore, dims: Collection[int], k: int,
     """``f`` holds everywhere within ``k`` steps along the modalities ``dims``.
 
     ``dims`` is a set of 1-based modality indices, as in
-    :func:`onevar.kripke.bounded_reach`: ``1..n`` quantifies over every
+    :func:`onevar.kripke.bounded_reach_mask`: ``1..n`` quantifies over every
     modality, ``2..n`` over those that keep the first coordinate.  Level 0 is
     ``f`` itself; each level conjoins the previous one with its image under
     every box in ``dims``, in increasing index order.  The interned form

@@ -168,29 +168,6 @@ def _json_int(value) -> int:
     return value
 
 
-def reflexive_closure(edges: Iterable[tuple[int, int]],
-                      worlds: int) -> tuple[tuple[int, int], ...]:
-    """The relation plus the identity on ``0..worlds-1``; idempotent."""
-    return Frame1(worlds, [*edges, *((w, w) for w in range(worlds))]).edges
-
-
-def ladder(k: int) -> Frame1:
-    """The reflexive chain gadget with rungs ``v0 -> w0 -> v1 -> ... -> vk -> wk``.
-
-    ``2*(k+1)`` points; point ``v_i`` is world ``2*i`` and ``w_i`` is world
-    ``2*i + 1``, with matching labels.  Every point carries a self-loop; the
-    only world without a non-loop outgoing edge is ``w_k``.
-    """
-    if k < 1:
-        raise ValueError("ladder size must be >= 1")
-    worlds = 2 * (k + 1)
-    chain = [(2 * i, 2 * i + 1) for i in range(k + 1)]          # v_i -> w_i
-    chain += [(2 * i + 1, 2 * i + 2) for i in range(k)]         # w_i -> v_{i+1}
-    labels = {f"v{i}": 2 * i for i in range(k + 1)}
-    labels.update({f"w{i}": 2 * i + 1 for i in range(k + 1)})
-    return Frame1(worlds, reflexive_closure(chain, worlds), labels)
-
-
 def repunit(step: int, count: int) -> int:
     """``count`` one bits spaced ``step`` bits apart, the lowest at bit 0.
 
@@ -556,20 +533,11 @@ class ProductModel:
         self.point = point
         self._sat_cache: dict[int, int] = {}
 
-    @property
-    def valuation(self) -> dict[int, frozenset[int]]:
-        """The valuation as world-index sets, derived from ``masks`` on each
-        read."""
-        return {var: _worlds(mask) for var, mask in self.masks.items()}
-
     def sat(self, f: Formula) -> int:
         """Worlds where ``f`` holds, as a mask, through the model's cache."""
         return sat_mask(self.frame, self.masks, f, self._sat_cache)
 
     # -- coordinate helpers -------------------------------------------------
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        return self.codec.index(coords)
 
     def coords_of(self, world: int) -> tuple[int, ...]:
         return self.codec.coords(world)
@@ -719,11 +687,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _worlds(mask: int) -> frozenset[int]:
-    """The set bits of ``mask``."""
-    return frozenset(bit_indices(mask))
-
-
 def _world_mask(var: int, worlds: Iterable[int], count: int) -> int:
     """The mask of ``worlds``, a valuation of ``var`` over worlds
     ``0..count-1``, in one linear pass: the binary digits are set in a
@@ -739,7 +702,7 @@ def _world_mask(var: int, worlds: Iterable[int], count: int) -> int:
 
 def sat_set(model: ProductModel, f: Formula) -> frozenset[int]:
     """Worlds of the model where ``f`` holds."""
-    return _worlds(model.sat(f))
+    return frozenset(bit_indices(model.sat(f)))
 
 
 def check(model: ProductModel, world: int, f: Formula) -> bool:
@@ -826,9 +789,3 @@ def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,
             break
         seen |= frontier
     return seen
-
-
-def bounded_reach(plan: ShiftPlan, start: int, k: int,
-                  dims: Iterable[int]) -> frozenset[int]:
-    """:func:`bounded_reach_mask` as a set of worlds."""
-    return _worlds(bounded_reach_mask(plan, start, k, dims))

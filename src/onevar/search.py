@@ -64,19 +64,21 @@ class FactorClass(str, enum.Enum):
 
 
 def is_member(frame: Frame1, cls: FactorClass) -> bool:
-    """Decidable class membership on finite frames."""
+    """Decidable class membership, read off the frame's offset masks."""
     if cls is FactorClass.K:
         return True
-    edges = set(frame.edges)
-    reflexive = frame.is_reflexive
-    if cls is FactorClass.T:
-        return reflexive
-    transitive = all((a, c) in edges
-                     for a, b in edges for b2, c in edges if b == b2)
-    if cls is FactorClass.S4:
-        return reflexive and transitive
-    symmetric = all((b, a) in edges for a, b in edges)
-    return reflexive and transitive and symmetric
+    if cls is FactorClass.T or not frame.is_reflexive:
+        return frame.is_reflexive
+    sources = dict(frame.offsets)
+    # every a with a -> a + d1 -> a + d1 + d2 has a -> a + d1 + d2
+    transitive = all(s1 & (s2 >> d1 if d1 >= 0 else s2 << -d1)
+                     & ~sources.get(d1 + d2, 0) == 0
+                     for d1, s1 in frame.offsets for d2, s2 in frame.offsets)
+    if cls is FactorClass.S4 or not transitive:
+        return transitive
+    # every x -> x + d has x + d -> x: the sources of -d are those of d, moved
+    return all(sources.get(-d, 0) == (s << d if d >= 0 else s >> -d)
+               for d, s in frame.offsets)
 
 
 def _subset_frames(size: int, reflexive: bool) -> Iterator[Frame1]:
@@ -499,10 +501,6 @@ class CalibrationReport:
     instances: tuple      # (formula text, class names, found) triples
     seed: int
     k_mode: bool
-
-    def passed_all(self, variant_name: str) -> bool:
-        row = self.rows[variant_name]
-        return all(p == t for p, t in row.values())
 
     def to_json(self) -> dict:
         return {

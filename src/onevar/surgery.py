@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from onevar.formulas import Formula, subformulas
+from onevar.formulas import Formula, postorder
 # sat_set is unused here; perfbench/tracer.py patches it by name
 from onevar.kripke import (Frame1, ProductModel, bit_indices,
                            bounded_reach_mask, check, repunit, restrict,
@@ -69,14 +69,14 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     """Extend a first factor with ladder copies of lengths ``1 .. m+1`` below
     every world.
 
-    The original worlds keep their indices; each copy is isomorphic to
-    ``ladder(k)`` (an irreflexive chain in K-mode) and is entered by a single
-    edge from its base world to the copy's ``v0``.  Outside K-mode the input
-    must be reflexive and the result is closed under reflexivity, so the
-    extended frame stays a T-frame and restricting it to the original worlds
-    gives back exactly ``f1``.  The gadget points carry labels such as
-    ``v0.k1.x0`` (rung ``v0`` of the ladder-1 copy below base world 0), for
-    output only; code reads positions from :func:`copy_start`.
+    The original worlds keep their indices; the copy of length ``k`` below
+    ``x`` is a chain from ``copy_start(f1.worlds, k, x)`` on (irreflexive in
+    K-mode), entered by a single edge from ``x`` to its ``v0``.  Outside
+    K-mode the input must be reflexive and the result is closed under
+    reflexivity, so the extended frame stays a T-frame and restricting it to
+    the original worlds gives back exactly ``f1``.  The gadget points carry
+    labels such as ``v0.k1.x0`` (rung ``v0`` of the ladder-1 copy below base
+    world 0), for output only; code reads positions from :func:`copy_start`.
 
     The relation is written in closed form, per offset (see
     :meth:`Frame1.from_offsets`): the base frame's offsets, a self-loop at
@@ -378,7 +378,7 @@ def check_subformula_preservation(base: ProductModel,
     points = base.codec.worlds
     low = (1 << points) - 1  # the base worlds, the same in both models
     violations = []
-    subs = list(subformulas(f))
+    subs = postorder(f)
     for sub in subs:
         differ = (base.sat(sub) ^ model.sat(ctx.lower(sub))) & low
         violations.extend((base.coords_of(bw), sub.uid)

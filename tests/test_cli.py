@@ -265,6 +265,33 @@ class TestTransferExtract:
         assert doc["checks"]["refutes-source"] is True
         assert doc["report"]["kept_points_marked"]["passed"] is True
 
+    def test_outputs_chain_through_files(self, capsys, tmp_path):
+        # transfer and extract read the model out of the payload that
+        # search and transfer write
+        found = tmp_path / "found.json"
+        transferred = tmp_path / "transferred.json"
+        code, _, _ = run(capsys, "search", "p1 -> [1]p1", "--max-worlds", "2",
+                         "--out", str(found))
+        assert code == 1
+        code, _, _ = run(capsys, "transfer", str(found), "p1 -> [1]p1",
+                         "--out", str(transferred))
+        assert code == 0
+        code, out, _ = run(capsys, "extract", str(transferred), "p1 -> [1]p1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["checks"]["refutes-source"] is True
+        assert doc["model"] == json.loads(found.read_text())["model"]
+
+    @pytest.mark.parametrize("doc", [[1, 2], 3, {"model": 3},
+                                     {"status": "none-within-bounds"}],
+                             ids=["list", "number", "model-number",
+                                  "no-model"])
+    def test_payload_without_a_model_exits_2(self, capsys, model_file, doc):
+        code, out, err = run(capsys, "transfer", model_file(doc), "p1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_grid_round_trip_pinned(self, capsys, model_file):
         # stdout of both surgeries with their reports, pinned; with three
         # columns a stride error in either surgery changes it
@@ -320,6 +347,15 @@ class TestSuite:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert len(doc["rows"]) == 3
+
+    @pytest.mark.parametrize("classes", ["T,T,T", "T,K,S5"])
+    def test_three_factors(self, capsys, classes):
+        # the reduction budget bounds the first factor by --reduction-worlds
+        # and every other factor by one world
+        code, out, _ = run(capsys, "suite", "--classes", classes,
+                           "--max-worlds", "2", "--reduction-worlds", "3")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 class TestBench:

@@ -11,9 +11,9 @@ from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, FormulaStore,
                              ModalityError, box_upto, postorder)
 from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
                            ModelFormatError, ProductModel, ShiftPlan, _runs,
-                           bounded_reach, check, check_naive, ladder,
-                           product, reflexive_closure, repunit, restrict,
-                           sat_mask, sat_set)
+                           bit_indices, bounded_reach_mask, check,
+                           check_naive, product, repunit, restrict, sat_mask,
+                           sat_set)
 from onevar.search import BLOCK_BITS, FactorClass, enumerate_frames
 from tests.test_formulas import random_formula
 
@@ -38,6 +38,29 @@ def tiled(plan, copies):
     return ShiftPlan(plan.arity, n * copies,
                      tuple(tuple((d, sources * ones) for d, sources in row)
                            for row in plan.steps))
+
+
+def reflexive_closure(edges, worlds):
+    """The relation plus the identity on ``0..worlds-1``; idempotent."""
+    return Frame1(worlds, [*edges, *((w, w) for w in range(worlds))]).edges
+
+
+def ladder(k):
+    """The reflexive chain ``v0 -> w0 -> v1 -> ... -> vk -> wk``, one
+    ladder copy that ``attach_gadgets`` hangs below a base world.
+
+    ``2*(k+1)`` points; point ``v_i`` is world ``2*i`` and ``w_i`` is world
+    ``2*i + 1``, with matching labels.  Every point carries a self-loop; the
+    only world without a non-loop outgoing edge is ``w_k``.
+    """
+    if k < 1:
+        raise ValueError("ladder size must be >= 1")
+    worlds = 2 * (k + 1)
+    chain = [(2 * i, 2 * i + 1) for i in range(k + 1)]  # v_i -> w_i
+    chain += [(2 * i + 1, 2 * i + 2) for i in range(k)]  # w_i -> v_{i+1}
+    labels = {f"v{i}": 2 * i for i in range(k + 1)}
+    labels.update({f"w{i}": 2 * i + 1 for i in range(k + 1)})
+    return Frame1(worlds, reflexive_closure(chain, worlds), labels)
 
 
 def naive_reference(model, world, f):
@@ -550,7 +573,7 @@ class TestTruth:
         # three worlds: masks 0..7 are valuations, anything else is not
         chain = Frame1(3, [(0, 1), (1, 2)])
         model = ProductModel.from_masks([chain], {1: 0b101, 2: 0}, 0)
-        assert model.valuation == {1: frozenset({0, 2}), 2: frozenset()}
+        assert model.masks == {1: 0b101, 2: 0}
         assert model.to_json() == ProductModel(
             [chain], {1: [2, 0], 2: []}, 0).to_json()
         for bad in (-1, 1 << 3, 0b1001):
@@ -728,25 +751,25 @@ class TestBoundedReach:
     def test_zero_steps(self):
         chain = Frame1(3, [(0, 1), (1, 2)])
         frame = product([chain])
-        assert bounded_reach(frame, 0, 0, [1]) == {0}
+        assert bit_indices(bounded_reach_mask(frame, 0, 0, [1])) == [0]
 
     def test_monotone_and_saturating(self):
         chain = Frame1(3, reflexive_closure([(0, 1), (1, 2)], 3))
         frame = product([chain, chain])
         previous = None
         for k in range(6):
-            reach = bounded_reach(frame, 0, k, [1, 2])
+            reach = set(bit_indices(bounded_reach_mask(frame, 0, k, [1, 2])))
             if previous is not None:
                 assert previous <= reach
             previous = reach
-        assert previous == frozenset(range(9))
+        assert previous == set(range(9))
 
     def test_dims_subset(self):
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
         frame = product([chain, chain])
         # moving only along dimension 2 never changes the first coordinate
         coords = CoordinateCodec([2, 2]).coords
-        for w in bounded_reach(frame, 0, 3, [2]):
+        for w in bit_indices(bounded_reach_mask(frame, 0, 3, [2])):
             assert coords(w)[0] == coords(0)[0]
 
     def test_correspondence_with_box_upto(self, store):
@@ -772,14 +795,15 @@ class TestBoundedReach:
             for dims in (range(1, n_factors + 1), range(2, n_factors + 1)):
                 lifted = box_upto(store, dims, k, f)
                 for x in range(frame.worlds):
-                    reached = bounded_reach(frame, x, k, dims)
+                    reached = bit_indices(
+                        bounded_reach_mask(frame, x, k, dims))
                     expected = all(check_naive(model, y, f) for y in reached)
                     assert check_naive(model, x, lifted) == expected
 
     def test_bad_dims_rejected(self):
         frame = product([Frame1(1, [(0, 0)])])
         with pytest.raises(ValueError):
-            bounded_reach(frame, 0, 1, [2])
+            bounded_reach_mask(frame, 0, 1, [2])
 
 
 class TestJson:
@@ -797,7 +821,7 @@ class TestJson:
             (0, 0))
         doc = json.loads(json.dumps(model.to_json()))
         back = ProductModel.from_json(doc)
-        assert back.valuation == model.valuation
+        assert back.masks == model.masks
         assert back.point == model.point
         assert [f.edges for f in back.factors] == \
             [f.edges for f in model.factors]

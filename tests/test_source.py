@@ -100,6 +100,28 @@ def test_every_import_is_used():
     assert found == []
 
 
+def test_every_public_definition_is_used():
+    # a public top-level function or class that neither the package nor
+    # the benchmark reads serves only the tests, and belongs in them;
+    # __init__.py only re-exports
+    package = sorted((ROOT / "src" / "onevar").glob("*.py"))
+    read, defined = set(), []
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path not in package or path.name != "__init__.py":
+            read |= {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)}
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)}
+        if path in package:
+            defined += [(path.name, node.name) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+    assert [f"{module} {name}" for module, name in defined
+            if name not in read] == []
+
+
 def test_perfbench_tracer_binds(monkeypatch):
     # the benchmark's traced run wraps package functions by name; a rename
     # or move of any of them must fail here, not in the benchmark

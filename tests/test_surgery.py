@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onevar.surgery
-from onevar.formulas import FormulaStore, parse, subformulas
+from onevar.formulas import FormulaStore, parse, postorder
 from onevar.search import random_formula
 from onevar.kripke import (CoordinateCodec, Frame1, ProductModel,
-                           bit_indices, bounded_reach, check, check_naive,
-                           ladder, product, restrict, sat_set)
+                           bit_indices, bounded_reach_mask, check,
+                           check_naive, product, restrict, sat_set)
 from onevar.surgery import (ExtractionFailed, ExtractionResult,
                             PreconditionFailed, SurgeryReport,
                             TransferFailed, attach_gadgets, build_extraction,
@@ -23,7 +23,7 @@ from onevar.surgery import (ExtractionFailed, ExtractionResult,
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
-from tests.test_kripke import edge_product, edge_restrict
+from tests.test_kripke import edge_product, edge_restrict, ladder
 
 REFLEXIVE_POINT = Frame1(1, [(0, 0)])
 REFLEXIVE_CHAIN = Frame1(2, [(0, 0), (1, 1), (0, 1)])
@@ -350,7 +350,7 @@ class TestMarkerScans:
         assert report.passed
         for bw in range(base.frame.worlds):
             coords = base.coords_of(bw)
-            assert not check(result.model, result.model.index_of(coords),
+            assert not check(result.model, result.model.codec.index(coords),
                              ctx.var_marker(1))
 
     def test_agreement_on_calibrated_instance(self, store):
@@ -460,10 +460,10 @@ class TestExtraction:
         result = transfer_countermodel(base, f, ctx)
         extraction = extract_countermodel(result.model, f, ctx)
         marker_sat = sat_set(result.model, ctx.var_marker(1))
-        for w in extraction.model.valuation.get(1, ()):
+        for w in bit_indices(extraction.model.masks.get(1, 0)):
             coords = extraction.model.coords_of(w)
             original = (extraction.kept_first_factor[coords[0]], *coords[1:])
-            assert result.model.index_of(original) in marker_sat
+            assert result.model.codec.index(original) in marker_sat
 
 
 class TestKeptPointsScan:
@@ -514,8 +514,15 @@ class TestGadgetSelectivity:
 # The mask code must give equal masks and equal reports, in the same order.
 # ---------------------------------------------------------------------------
 
+def world_sets(model):
+    """The model's valuation as world-index sets, read off its masks."""
+    return {var: frozenset(bit_indices(mask))
+            for var, mask in model.masks.items()}
+
+
 def reference_lift(base, m, variant):
     gadgets = gadget_layout(base.factors[0].worlds, m)
+    valuation = world_sets(base)
     lowest_rung = 0 if variant.mark_first_rung else 1
     columns = base.codec.strides[0]
     marked = set()
@@ -525,7 +532,7 @@ def reference_lift(base, m, variant):
         if gp.ladder == m + 1:
             marked.update(range(world * columns, (world + 1) * columns))
         else:
-            for bw in base.valuation.get(gp.ladder, frozenset()):
+            for bw in valuation.get(gp.ladder, frozenset()):
                 first, column = divmod(bw, columns)
                 if first == gp.base:
                     marked.add(world * columns + column)
@@ -546,13 +553,14 @@ def reference_carving(counter, kept, ctx):
 
 
 def reference_agreement(result, base, ctx):
+    valuation = world_sets(base)
     violations = []
     checked = 0
     model = result.model
     for bw in range(base.codec.worlds):
         for k in range(1, ctx.var_limit + 1):
             got = check(model, bw, ctx.var_marker(k))
-            want = bw in base.valuation.get(k, frozenset())
+            want = bw in valuation.get(k, frozenset())
             checked += 1
             if got != want:
                 violations.append((base.coords_of(bw), k, got, want))
@@ -579,8 +587,8 @@ def reference_exactness(result, ctx):
 
 def reference_kept_points(counter, extraction, ctx):
     kept = set(extraction.kept_first_factor)
-    reach = bounded_reach(counter.frame, counter.point, ctx.depth,
-                          range(1, ctx.arity + 1))
+    reach = bit_indices(bounded_reach_mask(counter.frame, counter.point,
+                                           ctx.depth, range(1, ctx.arity + 1)))
     marked = sat_set(counter, ctx.base_marker())
     columns = counter.codec.strides[0]
     violations = []
@@ -598,7 +606,7 @@ def reference_preservation(base, result, f, ctx):
     model = result.model
     violations = []
     checked = 0
-    for sub in subformulas(f):
+    for sub in postorder(f):
         lowered = ctx.lower(sub)
         for bw in range(base.codec.worlds):
             checked += 1
@@ -671,7 +679,7 @@ class TestMaskSurgeriesMatchPerWorld:
             extraction = build_extraction(result.model, f, ctx)
         except PreconditionFailed:
             return  # a miscalibrated variant can break the guard
-        assert extraction.model.valuation == reference_carving(
+        assert world_sets(extraction.model) == reference_carving(
             result.model, extraction.kept_first_factor, ctx)
         assert check_kept_points_marked(result.model, extraction, ctx) == \
             reference_kept_points(result.model, extraction, ctx)

@@ -6,15 +6,15 @@ import pytest
 
 from onevar.formulas import (FormulaStore, ModalityError, composite_dia,
                              dag_size, modal_depth, parse, render, sizes,
-                             subformulas, variables)
-from onevar.kripke import ProductModel, ladder, sat_set
+                             variables)
+from onevar.kripke import ProductModel, sat_set
 from onevar.translation import (COMPOSITE, DEFAULT_VARIANT,
                                 K_MODE_DEFAULT_VARIANT, MAX_VARIABLE_INDEX,
                                 PLAIN, VARIANT_GRID, ReservedVariableError,
                                 TranslationContext, VariantConfig,
                                 variant_by_name)
 from tests.test_formulas import random_formula
-from tests.test_kripke import label_names
+from tests.test_kripke import label_names, ladder
 
 
 def plain_variant(**kw):
