@@ -13,7 +13,10 @@ The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
 using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
 mask per variable.  The plan groups each relation's edges ``w -> y`` by
 their offset ``d = y - w``, so the box step costs a few big-integer shifts
-per distinct offset instead of a loop over the worlds.  Offsets survive
+per distinct offset instead of a loop over the worlds.  Where a factor has
+many offsets with few sources each, as a gadget factor has, the plan lists
+the edges of those sources as fans instead, one successor mask per source
+world, and a fan costs one AND.  Offsets survive
 disjoint copies of a frame, so one pass over the plan of many copies
 evaluates one valuation per copy at once (bit-sliced valuations, as in
 Biham's bitsliced DES, FSE 1997), and the copies need not share a frame:
@@ -29,7 +32,7 @@ deliberately separate so the two can be differenced against each other.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, ModalityError,
                              postorder)
@@ -37,6 +40,10 @@ from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, ModalityError,
 
 class ModelFormatError(ValueError):
     """Malformed JSON frame or model description."""
+
+
+# a frame's labels, or a function that returns them
+Labels = Mapping[str, int] | Callable[[], Mapping[str, int]]
 
 
 class Frame1:
@@ -52,13 +59,16 @@ class Frame1:
 
     Equality and hashing consider ``(worlds, offsets)``, that is the
     relation, only; ``labels`` are annotations (gadget point names) and do
-    not affect identity.
+    not affect identity.  Labels may be given as a function that returns
+    them, which is called on the first read of ``labels``: a surgery's
+    frames name thousands of gadget points, and only JSON output and leak
+    reports read the names.
     """
 
-    __slots__ = ("worlds", "offsets", "labels", "_succ")
+    __slots__ = ("worlds", "offsets", "_labels", "_succ")
 
     def __init__(self, worlds: int, edges: Iterable[tuple[int, int]],
-                 labels: Mapping[str, int] | None = None):
+                 labels: Labels | None = None):
         if worlds < 1:
             raise ValueError("a frame needs at least one world")
         sources: dict[int, int] = {}
@@ -74,16 +84,12 @@ class Frame1:
         self.worlds = worlds
         self.offsets = tuple(sorted(sources.items()))
         self._succ = None
-        self.labels = dict(labels) if labels else {}
-        points = self.labels.values()
-        if points and not (0 <= min(points) and max(points) < worlds):
-            name, w = next((name, w) for name, w in self.labels.items()
-                           if not 0 <= w < worlds)
-            raise ValueError(f"label {name!r} points at missing world {w}")
+        self._labels = labels if callable(labels) else \
+            _checked_labels(labels or {}, worlds)
 
     @classmethod
     def from_offsets(cls, worlds: int, offsets: Mapping[int, int],
-                     labels: Mapping[str, int] | None) -> "Frame1":
+                     labels: Labels | None) -> "Frame1":
         """The frame with an edge ``x -> x + d`` for each bit ``x`` of
         ``offsets[d]``; zero masks are dropped.  Rejects a negative mask and
         an edge whose source or target lies outside the worlds, in a few
@@ -99,6 +105,14 @@ class Frame1:
                                  f"0..{worlds - 1}")
         frame.offsets = tuple(sorted((d, s) for d, s in offsets.items() if s))
         return frame
+
+    @property
+    def labels(self) -> dict[str, int]:
+        """Names of labelled worlds; a function given for them is called
+        on the first read, and its result checked and kept."""
+        if callable(self._labels):
+            self._labels = _checked_labels(self._labels(), self.worlds)
+        return self._labels
 
     @property
     def succ(self) -> tuple[tuple[int, ...], ...]:
@@ -157,6 +171,19 @@ class Frame1:
             return cls(worlds, edges, labels)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(str(exc)) from exc
+
+
+def _checked_labels(labels: Mapping[str, int], worlds: int
+                    ) -> dict[str, int]:
+    """``labels`` as a dict; rejects a label of a world outside
+    ``0..worlds-1``."""
+    labels = dict(labels)
+    points = labels.values()
+    if points and not (0 <= min(points) and max(points) < worlds):
+        name, w = next((name, w) for name, w in labels.items()
+                       if not 0 <= w < worlds)
+        raise ValueError(f"label {name!r} points at missing world {w}")
+    return labels
 
 
 def _json_int(value) -> int:
@@ -225,23 +252,29 @@ def _runs(bits: int, step: int, count: int) -> int:
 
 
 class ShiftPlan:
-    """A frame's relations as edge offsets, the form :func:`sat_mask` reads
-    and the one product-frame type (:func:`product` and
+    """A frame's relations as edge offsets and fans, the form :func:`sat_mask`
+    reads and the one product-frame type (:func:`product` and
     :meth:`LaneLayout.plan` build it).
 
     ``steps[i]`` lists, for modality ``i + 1``, one ``(d, sources)`` pair per
     offset ``d`` in increasing order: ``sources`` is the mask of the worlds
-    ``w`` with an edge ``w -> w + d``.  The rows are stored as given, so
-    callers pass tuples.
+    ``w`` with an edge ``w -> w + d``.  ``fans[i]`` lists, in increasing
+    order of ``w``, one ``(w, targets)`` pair per fanned world ``w``:
+    ``targets`` is the mask of all successors of ``w``, and no row has
+    ``w`` among its sources.  The relation is the union of both forms, each
+    edge in one of them.  The rows are stored as given, so callers pass
+    tuples.
     """
 
-    __slots__ = ("arity", "worlds", "steps")
+    __slots__ = ("arity", "worlds", "steps", "fans")
 
     def __init__(self, arity: int, worlds: int,
-                 steps: tuple[tuple[tuple[int, int], ...], ...]):
+                 steps: tuple[tuple[tuple[int, int], ...], ...],
+                 fans: tuple[tuple[tuple[int, int], ...], ...]):
         self.arity = arity
         self.worlds = worlds
         self.steps = steps
+        self.fans = fans
 
 
 class CoordinateCodec:
@@ -300,6 +333,41 @@ def _zero_columns(codec: CoordinateCodec) -> Iterator[tuple[int, int]]:
                                                     codec.worlds // period)
 
 
+# factors with fewer offset rows are never fanned (see :func:`product`)
+FAN_MIN_ROWS = 16
+
+
+def _split_fans(offsets: tuple[tuple[int, int], ...], stride: int,
+                copies: int) -> tuple[tuple[tuple[int, int], ...],
+                                      dict[int, int]]:
+    """The offset rows of a factor whose worlds appear in ``copies``
+    product worlds each, split by the rule of :func:`product`: the rows the
+    product keeps, without the fanned worlds' sources, and for each fanned
+    world ``x`` the mask of bits ``y * stride`` for its successors ``y``.
+    """
+    if len(offsets) < FAN_MIN_ROWS:
+        return offsets, {}
+    ranked = sorted(offsets, key=lambda row: row[1].bit_count())
+    best, fanned, worlds = len(offsets), 0, 0
+    for j, (_, sources) in enumerate(ranked, start=1):
+        worlds |= sources
+        cost = len(offsets) - j + worlds.bit_count() * copies
+        if cost < best:
+            best, fanned = cost, worlds
+    if 2 * best > len(offsets):
+        return offsets, {}
+    rows, targets = [], {}
+    for d, sources in offsets:
+        hit = sources & fanned  # fanned has at most len(offsets) // 2 bits
+        while hit:
+            x = (hit & -hit).bit_length() - 1
+            targets[x] = targets.get(x, 0) | 1 << (x + d) * stride
+            hit &= hit - 1
+        if sources & ~fanned:
+            rows.append((d, sources & ~fanned))
+    return tuple(rows), targets
+
+
 def product(factors: Sequence[Frame1]) -> ShiftPlan:
     """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
     coordinate ``i`` along the i-th factor's relation.
@@ -310,18 +378,41 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
     source bit becomes a run of ``strides[i]`` worlds (see :func:`_runs`),
     repeated every ``size_i * strides[i]`` worlds by one product with a
     repunit.
+
+    A factor with many sparse offset rows, such as a gadget factor whose
+    copies each have an entry edge of their own offset, is partly fanned:
+    each product world ``w`` whose coordinate ``i`` is a fanned world ``x``
+    gets a fan of all its successors (the factor's successors of ``x``
+    spread by the stride and shifted to ``w``'s column), and the rows keep
+    the other sources.  The rule: a kept row costs one shift per box step,
+    and a fanned factor world one AND per product world with that
+    coordinate.  Of the prefixes of the factor's rows sorted by source
+    count, the one whose sources cost least to fan wins (the shortest among
+    equals).  It is used only when it at least halves the factor's
+    operations, and only for a factor of at least :data:`FAN_MIN_ROWS`
+    offset rows, so that small factors do not pay for the ranking: a frame
+    of ``n`` worlds has at most ``2n - 1`` offsets, so factors of 8 worlds
+    or fewer never fan.
     """
     if not factors:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
-    steps = []
+    steps, fans = [], []
     for factor, stride in zip(factors, codec.strides):
         period = factor.worlds * stride
         repeat = repunit(period, codec.worlds // period)
+        rows, targets = _split_fans(factor.offsets, stride,
+                                    codec.worlds // factor.worlds)
         steps.append(tuple(
             (d * stride, _runs(sources, stride, factor.worlds) * repeat)
-            for d, sources in factor.offsets))
-    return ShiftPlan(len(factors), codec.worlds, tuple(steps))
+            for d, sources in rows))
+        fans.append(tuple(
+            (w, ys << w - x * stride)
+            for high in range(0, codec.worlds, period)
+            for x, ys in sorted(targets.items())
+            for w in range(high + x * stride, high + (x + 1) * stride))
+            if targets else ())
+    return ShiftPlan(len(factors), codec.worlds, tuple(steps), tuple(fans))
 
 
 class FrameList:
@@ -417,7 +508,7 @@ class LaneLayout:
         lane.  An edge's sources are then its sources in one product, as
         :func:`product` finds them, times those lane starts, so the cost is
         linear in the run's bits per edge.  Runs of frames recur from block
-        to block, so their lane starts are kept.
+        to block, so their lane starts are kept.  A lane plan has no fans.
         """
         frame, lane = divmod(first, self.valuations)
         if lane + count <= self.valuations:
@@ -453,15 +544,17 @@ class LaneLayout:
                     part = (column << x * stride) * starts
                     sources[d] = sources.get(d, 0) | part
             steps.append(tuple(sorted(sources.items())))
-        return ShiftPlan(len(self.lists), n * count, tuple(steps))
+        return ShiftPlan(len(self.lists), n * count, tuple(steps),
+                         ((),) * len(self.lists))
 
 
 def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
     """Subframe on ``keep``: the relation intersected with ``keep`` squared.
 
     Worlds are renumbered in increasing order of their old indices; labels
-    follow the renumbering.  Only the kept sources with a kept target are
-    read off each offset's mask.
+    follow the renumbering, which is applied to them on their first read.
+    Only the kept sources with a kept target are read off each offset's
+    mask.
     """
     kept = sorted(set(keep))
     if not kept:
@@ -473,8 +566,11 @@ def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
     edges = [(remap[x], remap[x + d]) for d, sources in frame.offsets
              for x in bit_indices(sources & rows
                                   & (rows >> d if d >= 0 else rows << -d))]
-    labels = {name: remap[w] for name, w in frame.labels.items()
-              if w in remap}
+
+    def labels() -> dict[str, int]:
+        return {name: remap[w] for name, w in frame.labels.items()
+                if w in remap}
+
     return Frame1(len(kept), edges, labels)
 
 
@@ -641,7 +737,9 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
     fails, ``[i]body`` fails at ``w`` exactly when some offset ``d`` of
     relation ``i`` has ``w`` among its sources and ``w + d`` outside, so
     ``[i]body = full & ~OR_d(shift(outside, d) & sources_d)``: one shift and
-    one AND per offset, whatever the number of worlds.
+    one AND per offset, whatever the number of worlds.  A fan ``(w,
+    targets)`` of relation ``i`` fails ``w`` when ``outside & targets`` is
+    not empty: one AND per fan.
     """
     hit = cache.get(f.uid)
     if hit is not None:
@@ -669,6 +767,9 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
             failing = 0
             for d, sources in plan.steps[node.idx - 1]:
                 failing |= (outside >> d if d >= 0 else outside << -d) & sources
+            for w, targets in plan.fans[node.idx - 1]:
+                if outside & targets:
+                    failing |= 1 << w
             mask = full & ~failing
         cache[node.uid] = mask
     return cache[f.uid]
@@ -769,7 +870,8 @@ def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,
     ``dims`` is a set of 1-based modality indices; ``dims = 1..n`` gives full
     bounded reachability, ``dims = 2..n`` the first-coordinate-preserving
     variant.  Each step moves the whole frontier mask along every offset of
-    the chosen relations at once.
+    the chosen relations at once, and adds the targets of each fan whose
+    world is in the frontier.
     """
     dims = sorted(set(dims))
     for d in dims:
@@ -778,12 +880,16 @@ def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,
     if not 0 <= start < plan.worlds:
         raise ValueError(f"unknown world {start}")
     steps = [step for d in dims for step in plan.steps[d - 1]]
+    fans = [fan for d in dims for fan in plan.fans[d - 1]]
     seen = frontier = 1 << start
     for _ in range(k):
         moved = 0
         for d, sources in steps:
             out = frontier & sources
             moved |= out << d if d >= 0 else out >> -d
+        for w, targets in fans:
+            if frontier >> w & 1:
+                moved |= targets
         frontier = moved & ~seen
         if not frontier:
             break

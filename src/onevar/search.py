@@ -533,14 +533,15 @@ def calibrate_variants(grid: Sequence[VariantConfig],
     every variant over every corpus instance; select the first variant that
     passes everything.
 
-    Base countermodels are searched once per instance (they do not depend on
-    the variant).  Ties are surfaced, not broken.
+    Each formula is read, and its contexts are built, at the arity of each
+    class tuple in turn.  Base countermodels are searched once per instance
+    (they do not depend on the variant).  Ties are surfaced, not broken.
     """
     instances = []
     bases: list[tuple[Formula, ProductModel]] = []
     for text in corpus:
-        f = parse(text, 2, store)
         for classes in class_pairs:
+            f = parse(text, len(classes), store)
             outcome = search_countermodel(f, classes, budget)
             names = ",".join(c.value for c in classes)
             instances.append((text, names, outcome.found))
@@ -561,7 +562,8 @@ def calibrate_variants(grid: Sequence[VariantConfig],
                 witnesses[variant.name] = f"{family}: {detail}"
 
         for f, base in bases:
-            ctx = TranslationContext.for_formula(store, f, 2, variant)
+            ctx = TranslationContext.for_formula(store, f, len(base.factors),
+                                                 variant)
             result = build_transfer(base, f, ctx, k_mode=k_mode)
             record("transfer", all(result.checks.values()),
                    str(result.checks))

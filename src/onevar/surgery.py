@@ -76,7 +76,8 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     reflexivity, so the extended frame stays a T-frame and restricting it to
     the original worlds gives back exactly ``f1``.  The gadget points carry
     labels such as ``v0.k1.x0`` (rung ``v0`` of the ladder-1 copy below base
-    world 0), for output only; code reads positions from :func:`copy_start`.
+    world 0), for output only and built on their first read; code reads
+    positions from :func:`copy_start`.
 
     The relation is written in closed form, per offset (see
     :meth:`Frame1.from_offsets`): the base frame's offsets, a self-loop at
@@ -93,8 +94,6 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
     sources = dict(f1.offsets)
     if not k_mode:
         sources[0] = (1 << worlds) - 1
-    labels = dict(f1.labels)
-    below = [f".x{x}" for x in range(base)]
     for k in range(1, m + 2):
         size = 2 * (k + 1)
         first = copy_start(base, k, 0)
@@ -105,11 +104,19 @@ def attach_gadgets(f1: Frame1, m: int, k_mode: bool = False) -> Frame1:
         for x in range(base):  # the entry edge x -> v0
             entry = first + size * x - x
             sources[entry] = sources.get(entry, 0) | 1 << x
-        # the copies of length k in world order: v0, w0, .., vk, wk below
-        # each base world in turn
-        rungs = [f"{role}{i}.k{k}" for i in range(k + 1) for role in "vw"]
-        labels.update(zip([rung + x for x in below for rung in rungs],
-                          range(first, first + size * base)))
+
+    def labels() -> dict[str, int]:
+        names = dict(f1.labels)
+        below = [f".x{x}" for x in range(base)]
+        for k in range(1, m + 2):
+            first = copy_start(base, k, 0)
+            # the copies of length k in world order: v0, w0, .., vk, wk
+            # below each base world in turn
+            rungs = [f"{role}{i}.k{k}" for i in range(k + 1) for role in "vw"]
+            names.update(zip([rung + x for x in below for rung in rungs],
+                             range(first, copy_start(base, k + 1, 0))))
+        return names
+
     return Frame1.from_offsets(worlds, sources, labels)
 
 

@@ -336,6 +336,18 @@ class TestCalibrate:
         assert doc["selected"] == "composite+rung0+shield"
         assert "selected composite+rung0+shield" in err
 
+    @pytest.mark.parametrize("classes", ["T,T,T", "T,T;T,T,T"])
+    def test_three_factors(self, capsys, classes):
+        # each formula is read and its contexts built at the arity of each
+        # class tuple
+        code, out, _ = run(capsys, "calibrate", "--classes", classes,
+                           "--max-worlds", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["selected"] == "composite+rung0+shield"
+        assert {names for _, names, _ in doc["instances"]} == \
+            set(classes.split(";"))
+
 
 class TestSuite:
     def test_small_corpus(self, capsys, tmp_path):

@@ -25,19 +25,47 @@ def label_names(frame, worlds):
 
 def relation(plan, modality):
     """Sorted edge list of relation ``modality`` (1-based), read off the
-    plan's offsets."""
-    return sorted((w, w + d) for d, sources in plan.steps[modality - 1]
-                  for w in range(plan.worlds) if sources >> w & 1)
+    plan's offset rows and fans; an edge listed twice appears twice."""
+    rows = [(w, w + d) for d, sources in plan.steps[modality - 1]
+            for w in bit_indices(sources)]
+    fans = [(w, y) for w, targets in plan.fans[modality - 1]
+            for y in bit_indices(targets)]
+    return sorted(rows + fans)
+
+
+def denoted(plan):
+    """The relations a plan denotes, per modality a dict from each offset
+    ``d`` to the mask of the worlds ``w`` with an edge ``w -> w + d``,
+    whether the plan lists the edge in an offset row or in a fan.  This is
+    the plan's relation independent of the split between rows and fans;
+    an edge listed twice fails."""
+    out = []
+    for row, fans in zip(plan.steps, plan.fans):
+        sources = {}
+        for d, mask in row:
+            assert not sources.get(d, 0) & mask
+            sources[d] = sources.get(d, 0) | mask
+        for w, targets in fans:
+            for y in bit_indices(targets):
+                assert not sources.get(y - w, 0) >> w & 1
+                sources[y - w] = sources.get(y - w, 0) | 1 << w
+        out.append(sources)
+    return out
 
 
 def tiled(plan, copies):
     """``copies`` disjoint copies of a plan, copy ``c`` on worlds ``c*n ..
-    c*n + n - 1``: each source mask repeated at the start of every copy."""
+    c*n + n - 1``: each source mask repeated at the start of every copy,
+    and each fan repeated in every copy."""
     n = plan.worlds
     ones = int(("0" * (n - 1) + "1") * copies, 2)
     return ShiftPlan(plan.arity, n * copies,
                      tuple(tuple((d, sources * ones) for d, sources in row)
-                           for row in plan.steps))
+                           for row in plan.steps),
+                     tuple(tuple((w + c * n, targets << c * n)
+                                 for c in range(copies)
+                                 for w, targets in fans)
+                           for fans in plan.fans))
 
 
 def reflexive_closure(edges, worlds):
@@ -135,7 +163,8 @@ def edge_product(factors):
             d = (y - x) * stride
             sources[d] = sources.get(d, 0) | column << x * stride
         steps.append(tuple(sorted(sources.items())))
-    return ShiftPlan(len(factors), codec.worlds, tuple(steps))
+    return ShiftPlan(len(factors), codec.worlds, tuple(steps),
+                     ((),) * len(factors))
 
 
 def edge_restrict(frame, keep):
@@ -334,19 +363,37 @@ class TestProduct:
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(data=st.data())
+    def test_small_factors_build_no_fans(self, data):
+        # the search's and the reduction sweep's factors have at most 4
+        # worlds, so at most 7 offset rows, and product() must not spend
+        # time on fans for them; the star below would fan under the
+        # halving rule alone (7 rows, 2 worlds to fan)
+        star = Frame1(4, [(0, 0), (0, 1), (0, 2), (0, 3),
+                          (3, 0), (3, 1), (3, 2)])
+        factors = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(1, 4))
+            cells = [(a, b) for a in range(n) for b in range(n)]
+            factors.append(star if data.draw(st.booleans()) else Frame1(
+                n, data.draw(st.lists(st.sampled_from(cells), unique=True))))
+        assert product(factors).fans == ((),) * len(factors)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
     def test_widened_masks_match_the_edge_build(self, data):
         # up to three factors, with irreflexive points, negative offsets and
         # now and then a factor of 60..140 worlds
         factors = [data.draw(frames())
                    for _ in range(data.draw(st.integers(1, 3)))]
-        assert product(factors).steps == edge_product(factors).steps
+        assert denoted(product(factors)) == denoted(edge_product(factors))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_plan_is_the_product_definition(self, data):
-        # product() builds the plan from the factors' edges; regrouping the
-        # defined relation by offset, world by world, must give the same
-        # steps, in increasing offset order
+        # product() builds the plan from the factors' edges; the edges read
+        # off its offset rows and fans must be the defined relation, each
+        # once, with the rows in increasing offset order and the fans in
+        # increasing world order
         factors = []
         for _ in range(data.draw(st.integers(1, 3))):
             n = data.draw(st.integers(1, 4))
@@ -357,11 +404,13 @@ class TestProduct:
         assert plan.arity == len(factors)
         assert plan.worlds == CoordinateCodec(
             f.worlds for f in factors).worlds
-        for i, row in enumerate(plan.steps, start=1):
-            sources = {}
-            for a, b in definition(factors, i):
-                sources[b - a] = sources.get(b - a, 0) | 1 << a
-            assert list(row) == sorted(sources.items())
+        for i, (row, fans) in enumerate(zip(plan.steps, plan.fans),
+                                        start=1):
+            assert relation(plan, i) == definition(factors, i)
+            offsets = [d for d, _ in row]
+            assert offsets == sorted(set(offsets))
+            worlds = [w for w, _ in fans]
+            assert worlds == sorted(set(worlds))
 
 
 class TestRuns:
@@ -410,9 +459,9 @@ class TestLaneLayout:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_block_plan_is_the_lanes_of_its_frames(self, data):
-        # a block's plan is the OR of its frames' plans, each tiled over the
-        # frame's lanes in the block and shifted to the first of them;
-        # frames run in itertools.product order of the lists
+        # a block's plan denotes the union of its frames' relations, each
+        # tiled over the frame's lanes in the block and shifted to the
+        # first of them; frames run in itertools.product order of the lists
         lists = [enumerate_frames(data.draw(st.sampled_from(list(FactorClass))),
                                   data.draw(st.integers(1, 3)))
                  for _ in range(data.draw(st.integers(1, 2)))]
@@ -428,7 +477,8 @@ class TestLaneLayout:
                  data.draw(st.integers(0, len(runs) - 1))}
         n = layout.codec.worlds
         for first, count in (runs[i] for i in sorted(picks)):
-            expected = [{} for _ in lists]
+            rows = [[] for _ in lists]
+            fans = [[] for _ in lists]
             products = itertools.islice(itertools.product(*lists),
                                         first // valuations, None)
             lane = first
@@ -438,15 +488,16 @@ class TestLaneLayout:
                 factors = next(products)
                 assert layout.factors(k) == factors
                 plan = tiled(product(factors), width)
-                for row, sources in zip(plan.steps, expected):
-                    for d, mask in row:
-                        sources[d] = (sources.get(d, 0)
-                                      | mask << (lane - first) * n)
+                at = (lane - first) * n
+                for row, out in zip(plan.steps, rows):
+                    out += [(d, mask << at) for d, mask in row]
+                for fan, out in zip(plan.fans, fans):
+                    out += [(w + at, targets << at) for w, targets in fan]
                 lane += width
             plan = layout.plan(first, count)
             assert plan.worlds == count * n
-            assert plan.steps == tuple(tuple(sorted(sources.items()))
-                                       for sources in expected)
+            assert denoted(plan) == denoted(ShiftPlan(
+                len(lists), count * n, rows, fans))
 
     def test_runs_across_frames_must_cover_them(self):
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
@@ -658,7 +709,7 @@ class TestDifferential:
                  for v in range(1, 4)}
         plan = LaneLayout([FrameList([factor]) for factor in factors],
                           len(valuations)).plan(0, len(valuations))
-        assert plan.steps == tiled(frame, len(valuations)).steps
+        assert denoted(plan) == denoted(tiled(frame, len(valuations)))
         lanes = sat_mask(plan, block, f, {})
         assert lanes >> n * len(valuations) == 0
         for lane, val in enumerate(valuations):

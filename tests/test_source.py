@@ -58,10 +58,10 @@ def test_world_numbering_stays_in_kripke():
 
 def test_naive_oracle_reads_the_factors():
     # check_naive decodes the product definition from the factors itself;
-    # if it read the plan (or built one), or a factor's offset masks, which
-    # product() widens into the plan, it would share the fast checker's
-    # encoding of the relation, and a bug there could not show up in any
-    # differential test
+    # if it read the plan (or built one), its rows or fans, or a factor's
+    # offset masks, which product() widens into the plan, it would share
+    # the fast checker's encoding of the relation, and a bug there could
+    # not show up in any differential test
     path = ROOT / "src" / "onevar" / "kripke.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     oracle = next(node for node in tree.body
@@ -69,7 +69,7 @@ def test_naive_oracle_reads_the_factors():
                   and node.name == "check_naive")
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(oracle)
              if isinstance(node, ast.Attribute)
-             and node.attr in ("frame", "steps", "succs", "offsets")
+             and node.attr in ("frame", "steps", "fans", "succs", "offsets")
              or _called_name(node) in ("product", "sat_mask")]
     assert found == []
 

@@ -23,7 +23,8 @@ from onevar.surgery import (ExtractionFailed, ExtractionResult,
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
-from tests.test_kripke import edge_product, edge_restrict, ladder
+from tests.test_kripke import (definition, denoted, edge_product,
+                               edge_restrict, ladder, relation)
 
 REFLEXIVE_POINT = Frame1(1, [(0, 0)])
 REFLEXIVE_CHAIN = Frame1(2, [(0, 0), (1, 1), (0, 1)])
@@ -178,13 +179,94 @@ class TestGadgetsMatchEdgeLists:
                 st.sampled_from(pairs), unique=True))))
         for at in range(3):
             factors = others[:at] + [ext] + others[at:]
-            assert product(factors).steps == edge_product(
-                others[:at] + [want] + others[at:]).steps
+            assert denoted(product(factors)) == denoted(edge_product(
+                others[:at] + [want] + others[at:]))
 
         world = st.integers(0, ext.worlds - 1)
         keep = data.draw(st.lists(world, min_size=1, max_size=40))
         got, cut = restrict(ext, keep), edge_restrict(want, keep)
         assert got == cut and got.labels == cut.labels
+
+
+def reach_by_search(factors, start, k, dims):
+    """Worlds within ``k`` steps of ``start`` along ``dims``, by a
+    breadth-first search over the defined edges of the product."""
+    succ = {}
+    for i in dims:
+        for a, b in definition(factors, i):
+            succ.setdefault(a, []).append(b)
+    seen, frontier = {start}, [start]
+    for _ in range(k):
+        frontier = [b for a in frontier for b in succ.get(a, ())
+                    if b not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+class TestFannedGadgetProducts:
+    def test_big_gadget_factors_are_fanned(self):
+        # m = 16 over a complete 4-world base: 75 offset rows, 68 of them
+        # one entry edge each; fanning the 4 base worlds leaves the
+        # self-loops and the chains, 2 rows, and costs one fan per product
+        # world over a base world, 16 with a 4-world other factor, in
+        # either position
+        complete = Frame1(4, [(a, b) for a in range(4) for b in range(4)])
+        ext = attach_gadgets(complete, 16)
+        assert len(ext.offsets) == 75
+        for at in (0, 1):
+            factors = [complete]
+            factors.insert(at, ext)
+            plan = product(factors)
+            assert (len(plan.steps[at]), len(plan.fans[at])) == (2, 16)
+            assert plan.fans[1 - at] == ()
+            worlds = [w for w, _ in plan.fans[at]]
+            assert worlds == sorted(set(worlds))
+            for i in (1, 2):
+                assert relation(plan, i) == definition(factors, i)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_sat_and_reach_agree_with_the_oracles(self, data):
+        # gadget factors at m = 0..16, whose products are fanned from
+        # about m = 5 on, first, in the middle or last, in K-mode too:
+        # sat_mask against check_naive at every world, and
+        # bounded_reach_mask against a search over the defined edges from
+        # the worlds over base points, the sources of the fans
+        k_mode = data.draw(st.booleans())
+        n = data.draw(st.integers(1, 2))
+        cells = [(a, b) for a in range(n) for b in range(n)]
+        edges = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        if not k_mode:
+            edges += [(w, w) for w in range(n)]
+        ext = attach_gadgets(Frame1(n, edges), data.draw(st.integers(0, 16)),
+                             k_mode=k_mode)
+        others = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            size = data.draw(st.integers(1, 2))
+            pairs = [(a, b) for a in range(size) for b in range(size)]
+            others.append(Frame1(size, data.draw(st.lists(
+                st.sampled_from(pairs), unique=True))))
+        at = data.draw(st.integers(0, len(others)))
+        factors = others[:at] + [ext] + others[at:]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        worlds = CoordinateCodec(f.worlds for f in factors).worlds
+        model = ProductModel.from_masks(
+            factors, {v: rng.getrandbits(worlds) for v in (1, 2)}, 0)
+        store = FormulaStore()
+        f = store.box(at + 1, random_formula(store, rng, len(factors), 2, 2))
+        mask = model.sat(f)
+        for w in range(worlds):
+            assert bool(mask >> w & 1) == check_naive(model, w, f)
+
+        stride = model.codec.strides[at]
+        k = data.draw(st.integers(0, 4))
+        dims = data.draw(st.lists(st.integers(1, len(factors)), min_size=1,
+                                  unique=True))
+        for x in range(n):
+            start = x * stride + rng.randrange(stride)
+            assert bit_indices(bounded_reach_mask(
+                model.frame, start, k, dims)) == \
+                reach_by_search(factors, start, k, dims)
 
 
 def lifted_coords(base, m, variant):
