@@ -255,22 +255,31 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, budget: bool = False) -> None:
-    sub.add_argument("--variant", help="variant name override")
+def _add_k_mode(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k-mode", action="store_true",
                      help="irreflexive gadgets, no reflexivity requirements")
+
+
+def _add_variant(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--variant", help="variant name override")
+    _add_k_mode(sub)
+
+
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON payload to this path")
     sub.add_argument("--format", choices=("json", "text"), default="json")
-    if budget:
-        sub.add_argument("--max-worlds", type=int, default=3)
-        sub.add_argument("--per-factor-worlds",
-                         help="comma-separated per-factor world bounds")
-        sub.add_argument("--max-valuations", type=int, default=512)
-        sub.add_argument("--exhaustive", action="store_true",
-                         help="refuse valuation sampling: error out instead "
-                              "of weakening an exhaustiveness certificate")
-        sub.add_argument("--time-limit", type=float, default=None)
-        sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_budget(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--max-worlds", type=int, default=3)
+    sub.add_argument("--per-factor-worlds",
+                     help="comma-separated per-factor world bounds")
+    sub.add_argument("--max-valuations", type=int, default=512)
+    sub.add_argument("--exhaustive", action="store_true",
+                     help="refuse valuation sampling: error out instead "
+                          "of weakening an exhaustiveness certificate")
+    sub.add_argument("--time-limit", type=float, default=None)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--expand", action="store_true",
                    help="include the fully expanded rendering")
-    _add_common(p)
+    _add_variant(p)
+    _add_output(p)
     p.set_defaults(func=cmd_translate)
 
     p = subs.add_parser("check", help="evaluate a formula on a model file")
@@ -292,21 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--sat-set", action="store_true",
                    help="include the full satisfaction set")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("search", help="look for a product countermodel")
     p.add_argument("formula")
     p.add_argument("--classes", default="T,T",
                    help="comma-separated factor classes, e.g. T,S5")
-    _add_common(p, budget=True)
+    _add_output(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("transfer",
                         help="extend a source countermodel to the reduction")
     p.add_argument("model")
     p.add_argument("formula")
-    _add_common(p)
+    _add_variant(p)
+    _add_output(p)
     p.set_defaults(func=cmd_transfer)
 
     p = subs.add_parser("extract",
@@ -314,13 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "reduction countermodel")
     p.add_argument("model")
     p.add_argument("formula")
-    _add_common(p)
+    _add_variant(p)
+    _add_output(p)
     p.set_defaults(func=cmd_extract)
 
     p = subs.add_parser("calibrate", help="score every variant reading")
     p.add_argument("--classes", default="T,T;T,S5",
-                   help="semicolon-separated class pairs")
-    _add_common(p, budget=True)
+                   help="semicolon-separated class tuples of any arity, "
+                        "e.g. T,T;T,T,T")
+    _add_k_mode(p)
+    _add_output(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("suite", help="run the differential suite")
@@ -328,14 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="T,T")
     p.add_argument("--reduction-worlds", type=int, default=4,
                    help="first-factor bound for the reduction direction")
-    _add_common(p, budget=True)
+    _add_variant(p)
+    _add_output(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_suite)
 
     p = subs.add_parser("bench", help="size and build-time growth CSV")
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--var-limit", type=int, default=1)
-    _add_common(p)
+    _add_variant(p)
+    p.add_argument("--out", help="write the CSV to this path")
     p.set_defaults(func=cmd_bench)
 
     return parser

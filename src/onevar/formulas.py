@@ -259,6 +259,11 @@ def dia_upto(store: FormulaStore, dims: Collection[int], k: int,
 _TOK_END = "end"
 
 
+# the tokens of one character, by character
+_SINGLE = {"|": "or", "&": "and", "~": "not", "(": "lparen", ")": "rparen",
+           "F": "bot"}
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     """Return ``(kind, value, position)`` triples.
 
@@ -269,6 +274,10 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     size = len(text)
     while i < size:
         ch = text[i]
+        if ch in _SINGLE:
+            out.append((_SINGLE[ch], 0, i))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
@@ -278,30 +287,6 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
                 i += 2
                 continue
             raise ParseError("expected '->'", i)
-        if ch == "|":
-            out.append(("or", 0, i))
-            i += 1
-            continue
-        if ch == "&":
-            out.append(("and", 0, i))
-            i += 1
-            continue
-        if ch == "~":
-            out.append(("not", 0, i))
-            i += 1
-            continue
-        if ch == "(":
-            out.append(("lparen", 0, i))
-            i += 1
-            continue
-        if ch == ")":
-            out.append(("rparen", 0, i))
-            i += 1
-            continue
-        if ch == "F":
-            out.append(("bot", 0, i))
-            i += 1
-            continue
         if ch in "[<":
             close = "]" if ch == "[" else ">"
             j = i + 1

@@ -4,10 +4,11 @@ Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame, stored
 as its own one-factor plan: one source mask per edge offset.  Product worlds
 are numbered row-major by :class:`CoordinateCodec`, the one place that maps
 world indices to factor coordinates and back; a :class:`ProductModel` holds
-the codec of its factors.  A product frame is its :class:`ShiftPlan`, which
-:func:`product` builds by widening each factor's masks by the factor's
-stride.  Frames, models and satisfaction sets are immutable after
-construction.
+the codec of its factors.  Relation ``i`` of a product moves only
+coordinate ``i``, so a product frame, its :class:`ShiftPlan`, is the
+factors' offset rows, each widened by :meth:`CoordinateCodec.widen` to the
+worlds whose coordinate ``i`` is one of the row's sources.  Frames, models
+and satisfaction sets are immutable after construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
 using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
@@ -16,23 +17,23 @@ their offset ``d = y - w``, so the box step costs a few big-integer shifts
 per distinct offset instead of a loop over the worlds.  Where a factor has
 many offsets with few sources each, as a gadget factor has, the plan lists
 the edges of those sources as fans instead, one successor mask per source
-world, and a fan costs one AND.  Offsets survive
-disjoint copies of a frame, so one pass over the plan of many copies
-evaluates one valuation per copy at once (bit-sliced valuations, as in
-Biham's bitsliced DES, FSE 1997), and the copies need not share a frame:
-:class:`LaneLayout` lays out the products of one frame per
-:class:`FrameList`, each under the same valuations, as lanes, and builds
-the plan of any block of lanes from each edge's frame mask and its sources
-in one product.  :func:`check_naive` is
-an independent oracle: a top-down recursive evaluator, memoized per
-(node, world) within one call, that reads the factors, not the plan, kept
-deliberately separate so the two can be differenced against each other.
+world, and a fan costs one AND.  Offsets survive disjoint copies of a
+frame, so one pass over the plan of many copies evaluates one valuation per
+copy at once (bit-sliced valuations, as in Biham's bitsliced DES, FSE
+1997), and the copies need not share a frame: :class:`LaneLayout` lays out
+the products of one frame per :class:`FrameList`, each under the same
+valuations, as lanes, and builds the plan of any block of lanes from the
+same widened rows, each placed at the lanes of the frames that have it.
+:func:`check_naive` is an independent oracle: a top-down recursive
+evaluator, memoized per (node, world) within one call, that reads the
+factors, not the plan, kept deliberately separate so the two can be
+differenced against each other.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from onevar.formulas import (AND, BOT, IMP, OR, VAR, Formula, ModalityError,
                              postorder)
@@ -221,17 +222,17 @@ def _runs(bits: int, step: int, count: int) -> int:
     for ``j < count``.
 
     A step of 1 is the identity.  When the runs of consecutive ones are
-    sparse, at most one per 64 bits (a frame's full self-loop mask, or a
-    single source), each run is widened by one shift.  Otherwise the cost
-    is linear in ``step * count``: when ``step`` is a whole number of bytes,
-    a strided byte copy moves bit ``j`` to bit ``j * step``; otherwise
-    ``step - 1`` zero digits go between the binary digits.  One subtraction
-    then fills each run.
+    few, at most 8 plus one per 32 bits (a frame's full self-loop mask, a
+    single source, or any row of a small factor), each run is widened by
+    one shift.  Otherwise the cost is linear in ``step * count``: when
+    ``step`` is a whole number of bytes, a strided byte copy moves bit
+    ``j`` to bit ``j * step``; otherwise ``step - 1`` zero digits go
+    between the binary digits.  One subtraction then fills each run.
     """
     bits &= (1 << count) - 1
     if step == 1:
         return bits
-    if (bits & ~(bits << 1)).bit_count() * 64 <= count:  # one per run
+    if (bits & ~(bits << 1)).bit_count() * 32 <= count + 256:  # per run
         out = at = 0
         while bits:
             skip = (bits & -bits).bit_length() - 1  # zeros below the run
@@ -284,10 +285,11 @@ class CoordinateCodec:
     coordinate tuple in lexicographic order: the last coordinate varies
     fastest, and moving coordinate ``i`` by one moves the world index by
     ``strides[i]``.  Enumeration order (and with it first-found
-    countermodels) rests on this numbering.
+    countermodels) rests on this numbering.  :class:`LaneLayout` numbers the
+    frames of a sweep the same way, over the lengths of its frame lists.
     """
 
-    __slots__ = ("sizes", "strides", "worlds")
+    __slots__ = ("sizes", "strides", "worlds", "_repeats")
 
     def __init__(self, sizes: Iterable[int]):
         self.sizes = tuple(sizes)
@@ -298,6 +300,21 @@ class CoordinateCodec:
             worlds *= size
         self.strides = tuple(reversed(strides))
         self.worlds = worlds
+        # per coordinate, the repunit that :meth:`widen` repeats a block by
+        self._repeats: list[int | None] = [None] * len(self.sizes)
+
+    def widen(self, i: int, mask: int) -> int:
+        """The indices whose coordinate ``i`` is a bit of ``mask``, as a mask.
+
+        Bit ``x`` becomes a run of ``strides[i]`` indices (see
+        :func:`_runs`), and the block of ``sizes[i] * strides[i]`` indices
+        repeats by one product with a repunit, kept per coordinate.
+        """
+        repeat = self._repeats[i]
+        if repeat is None:
+            period = self.sizes[i] * self.strides[i]
+            repeat = self._repeats[i] = repunit(period, self.worlds // period)
+        return _runs(mask, self.strides[i], self.sizes[i]) * repeat
 
     def index(self, coords: Sequence[int]) -> int:
         """World index of a coordinate tuple; rejects tuples outside the
@@ -319,18 +336,6 @@ class CoordinateCodec:
             raise ValueError(f"world {world} outside the product")
         return tuple(world // stride % size
                      for stride, size in zip(self.strides, self.sizes))
-
-
-def _zero_columns(codec: CoordinateCodec) -> Iterator[tuple[int, int]]:
-    """Per factor ``i`` of the product numbered by ``codec``: ``strides[i]``
-    and the mask of the worlds whose coordinate ``i`` is 0, runs of
-    ``strides[i]`` worlds repeated every ``size_i * strides[i]`` worlds.
-    Shifted by ``x * strides[i]``, it is the worlds whose coordinate ``i``
-    is ``x``, the sources of factor ``i``'s edges from ``x``."""
-    for size, stride in zip(codec.sizes, codec.strides):
-        period = size * stride
-        yield stride, ((1 << stride) - 1) * repunit(period,
-                                                    codec.worlds // period)
 
 
 # factors with fewer offset rows are never fanned (see :func:`product`)
@@ -372,12 +377,10 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
     """Product frame as its :class:`ShiftPlan`: relation ``i`` moves exactly
     coordinate ``i`` along the i-th factor's relation.
 
-    Each factor is its own one-factor plan, and the product widens it: the
-    factor's offset ``d`` is offset ``d * strides[i]``, and its sources are
-    the worlds whose coordinate ``i`` is a source of the factor, so each
-    source bit becomes a run of ``strides[i]`` worlds (see :func:`_runs`),
-    repeated every ``size_i * strides[i]`` worlds by one product with a
-    repunit.
+    Each factor is its own one-factor plan, and the product widens each of
+    its rows: the factor's offset ``d`` is offset ``d * strides[i]``, and
+    its sources are the worlds whose coordinate ``i`` is a source of the
+    factor (:meth:`CoordinateCodec.widen`).
 
     A factor with many sparse offset rows, such as a gadget factor whose
     copies each have an entry edge of their own offset, is partly fanned:
@@ -398,17 +401,14 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
     steps, fans = [], []
-    for factor, stride in zip(factors, codec.strides):
-        period = factor.worlds * stride
-        repeat = repunit(period, codec.worlds // period)
+    for i, (factor, stride) in enumerate(zip(factors, codec.strides)):
         rows, targets = _split_fans(factor.offsets, stride,
                                     codec.worlds // factor.worlds)
-        steps.append(tuple(
-            (d * stride, _runs(sources, stride, factor.worlds) * repeat)
-            for d, sources in rows))
+        steps.append(tuple((d * stride, codec.widen(i, sources))
+                           for d, sources in rows))
         fans.append(tuple(
             (w, ys << w - x * stride)
-            for high in range(0, codec.worlds, period)
+            for high in range(0, codec.worlds, factor.worlds * stride)
             for x, ys in sorted(targets.items())
             for w in range(high + x * stride, high + (x + 1) * stride))
             if targets else ())
@@ -416,19 +416,19 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
 
 
 class FrameList:
-    """Frames of one size in a fixed order, and for each edge the frames
-    that have it: bit ``j`` of ``edges[(x, y)]`` is set when ``frames[j]``
-    has the edge ``x -> y``."""
+    """Frames of one size in a fixed order, and the frames that have each
+    offset row: bit ``j`` of ``rows[(d, sources)]`` is set when ``(d,
+    sources)`` is one of ``frames[j].offsets``.  Frames of one size share a
+    few rows, which are kept in increasing order."""
 
-    __slots__ = ("frames", "worlds", "edges")
+    __slots__ = ("frames", "worlds", "rows")
 
     def __init__(self, frames: Iterable[Frame1]):
         self.frames = tuple(frames)
         if not self.frames:
             raise ValueError("a frame list needs at least one frame")
         self.worlds = self.frames[0].worlds
-        # the frames of each (offset, sources) row, as binary digits (the
-        # last digit is frame 0); frames of one size share a few rows
+        # each row's frames as binary digits; the last digit is frame 0
         rows: dict[tuple[int, int], bytearray] = {}
         for j, frame in enumerate(self.frames):
             if frame.worlds != self.worlds:
@@ -438,29 +438,26 @@ class FrameList:
                 if digits is None:
                     digits = rows[row] = bytearray(b"0") * len(self.frames)
                 digits[~j] = 49  # ord("1")
-        edges: dict[tuple[int, int], int] = {}
-        for (d, sources), digits in rows.items():
-            mask = int(digits, 2)
-            for x in bit_indices(sources):
-                edges[x, x + d] = edges.get((x, x + d), 0) | mask
-        self.edges = edges
+        self.rows = {row: int(digits, 2)
+                     for row, digits in sorted(rows.items())}
 
 
 class LaneLayout:
     """The lanes of a sweep over the products of one frame from each list,
     each product checked under the same ``valuations`` valuations.
 
-    Frame ``k`` is the ``k``-th product in :func:`itertools.product` order
-    of the lists (the last list varies fastest), and lane ``k*V + v`` holds
-    valuation ``v`` of frame ``k``: frame-major, then valuation, with ``n``
-    world bits per lane.  :meth:`plan` builds the :class:`ShiftPlan` of a
-    run of lanes, which :func:`sat_mask` checks in one pass (frames as
-    lanes, as valuations are lanes of one frame: bit-sliced, after Biham's
-    bitsliced DES, FSE 1997).
+    Frames are numbered by a :class:`CoordinateCodec` over the list
+    lengths: frame ``k`` takes frame ``coords(k)[i]`` of list ``i``, which
+    is :func:`itertools.product` order of the lists.  Lane ``k*V + v``
+    holds valuation ``v`` of frame ``k``: frame-major, then valuation, with
+    ``n`` world bits per lane, numbered by ``codec``.  :meth:`plan` builds
+    the :class:`ShiftPlan` of a run of lanes, which :func:`sat_mask` checks
+    in one pass (frames as lanes, as valuations are lanes of one frame:
+    bit-sliced, after Biham's bitsliced DES, FSE 1997).
     """
 
-    __slots__ = ("lists", "valuations", "codec", "frames", "_members",
-                 "_starts")
+    __slots__ = ("lists", "valuations", "codec", "_frame_codec", "frames",
+                 "_rows", "_starts")
 
     def __init__(self, lists: Sequence[FrameList], valuations: int):
         if not lists:
@@ -470,45 +467,39 @@ class LaneLayout:
         self.lists = tuple(lists)
         self.valuations = valuations
         self.codec = CoordinateCodec(lst.worlds for lst in self.lists)
-        self.frames = 1
-        for lst in self.lists:
-            self.frames *= len(lst.frames)
-        # _members[i][edge]: bit k set when factor i of frame k has the edge.
-        # List i's frame j is factor i of runs of ``below`` consecutive
-        # frames, one run every ``len(list) * below`` frames.
-        self._members = []
-        below = 1
-        for lst in reversed(self.lists):
-            period = len(lst.frames) * below
-            repeat = repunit(period, self.frames // period)
-            members = {}
-            for edge, mask in lst.edges.items():
-                members[edge] = _runs(mask, below, len(lst.frames)) * repeat
-            self._members.append(members)
-            below = period
-        self._members.reverse()
-        # lane starts by (frames of the run with an edge, lanes in the run)
+        self._frame_codec = CoordinateCodec(len(lst.frames)
+                                            for lst in self.lists)
+        self.frames = self._frame_codec.worlds
+        # _rows[i]: per offset of list i in one product, in increasing
+        # order, its rows: each row's sources in one product, and the mask
+        # of the frames k whose factor i has the row
+        self._rows = []
+        for i, (lst, stride) in enumerate(zip(self.lists, self.codec.strides)):
+            rows: dict[int, list[tuple[int, int]]] = {}
+            for (d, sources), frames in lst.rows.items():
+                rows.setdefault(d * stride, []).append(
+                    (self.codec.widen(i, sources),
+                     self._frame_codec.widen(i, frames)))
+            self._rows.append(tuple(rows.items()))
+        # lane starts by (frames of the run with a row, lanes in the run)
         self._starts: dict[tuple[int, int], int] = {}
 
     def factors(self, frame: int) -> tuple[Frame1, ...]:
         """The factors of frame ``frame``."""
-        out = []
-        for lst in reversed(self.lists):
-            frame, j = divmod(frame, len(lst.frames))
-            out.append(lst.frames[j])
-        return tuple(reversed(out))
+        return tuple(lst.frames[j] for lst, j in
+                     zip(self.lists, self._frame_codec.coords(frame)))
 
     def plan(self, first: int, count: int) -> ShiftPlan:
         """The plan of lanes ``first .. first + count - 1``, lane ``first +
         l`` on worlds ``l*n .. l*n + n - 1``.
 
-        The run lies inside one frame or covers whole frames.  Each edge's
+        The run lies inside one frame or covers whole frames.  Each row's
         frames in the run are widened to their runs of lanes, and one
         division by ``2**n - 1`` leaves one bit at the first world of each
-        lane.  An edge's sources are then its sources in one product, as
-        :func:`product` finds them, times those lane starts, so the cost is
-        linear in the run's bits per edge.  Runs of frames recur from block
-        to block, so their lane starts are kept.  A lane plan has no fans.
+        lane.  The row as :func:`product` widens it, times those lane
+        starts, places it at each of its lanes, so the cost is linear in the
+        run's bits per row.  Runs of frames recur from block to block, so
+        their lane starts are kept.  A lane plan has no fans.
         """
         frame, lane = divmod(first, self.valuations)
         if lane + count <= self.valuations:
@@ -525,25 +516,21 @@ class LaneLayout:
         bits = width * n  # the bits of one frame's lanes in the run
         low = (1 << frames) - 1
 
-        def lane_starts(members: int) -> int:
-            key = (members >> frame & low, count)
-            starts = self._starts.get(key)
-            if starts is None:
-                starts = _runs(key[0], bits, frames) // ((1 << n) - 1)
-                self._starts[key] = starts
-            return starts
-
         steps = []
-        for by_edge, (stride, column) in zip(self._members,
-                                             _zero_columns(self.codec)):
-            sources: dict[int, int] = {}
-            for (x, y), members in by_edge.items():
-                starts = lane_starts(members)
-                if starts:
-                    d = (y - x) * stride
-                    part = (column << x * stride) * starts
-                    sources[d] = sources.get(d, 0) | part
-            steps.append(tuple(sorted(sources.items())))
+        for by_offset in self._rows:
+            step = []
+            for d, rows in by_offset:
+                sources = 0
+                for widened, members in rows:
+                    key = (members >> frame & low, count)
+                    starts = self._starts.get(key)
+                    if starts is None:
+                        starts = _runs(key[0], bits, frames) // ((1 << n) - 1)
+                        self._starts[key] = starts
+                    sources |= widened * starts
+                if sources:
+                    step.append((d, sources))
+            steps.append(tuple(step))
         return ShiftPlan(len(self.lists), n * count, tuple(steps),
                          ((),) * len(self.lists))
 

@@ -364,11 +364,8 @@ def check_kept_points_marked(counter: ProductModel,
     reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth,
                                range(1, ctx.arity + 1))
     marked = counter.sat(ctx.base_marker())
-    columns = counter.codec.strides[0]
-    rows = 0  # one bit at the first world of each kept row
-    for x in extraction.kept_first_factor:
-        rows |= 1 << x * columns
-    in_scope = reach & rows * ((1 << columns) - 1)
+    kept = sum(1 << x for x in extraction.kept_first_factor)
+    in_scope = reach & counter.codec.widen(0, kept)
     violations = [(counter.coords_of(w),)
                   for w in bit_indices(in_scope & ~marked)]
     return SurgeryReport("kept-points-marked", in_scope.bit_count(),

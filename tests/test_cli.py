@@ -392,3 +392,25 @@ class TestBench:
         assert code == 0
         assert out.startswith("depth,") and out.count("\n") == 1
         assert err == "bench: 0 depths, arity 2\n"
+
+
+class TestUnreadFlags:
+    # each subcommand registers only the flags it reads, so a flag it
+    # would ignore is a usage error rather than silently dropped
+    @pytest.mark.parametrize("argv, unread", [
+        (("check", "MODEL", "p1"), ("--variant", "plain")),
+        (("check", "MODEL", "p1"), ("--k-mode",)),
+        (("search", "p1"), ("--variant", "plain")),
+        (("search", "p1"), ("--k-mode",)),
+        (("calibrate",), ("--variant", "plain")),
+        (("bench",), ("--format", "text")),
+    ], ids=["check-variant", "check-k-mode", "search-variant",
+            "search-k-mode", "calibrate-variant", "bench-format"])
+    def test_exits_2(self, capsys, model_file, argv, unread):
+        path = model_file(BOT_MODEL)
+        with pytest.raises(SystemExit) as exc:
+            main([path if arg == "MODEL" else arg for arg in argv + unread])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(unread)}" in captured.err

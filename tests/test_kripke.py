@@ -499,6 +499,15 @@ class TestLaneLayout:
             assert denoted(plan) == denoted(ShiftPlan(
                 len(lists), count * n, rows, fans))
 
+    @pytest.mark.parametrize("cls", list(FactorClass))
+    def test_frame_list_rows_give_back_each_frames_offsets(self, cls):
+        for size in (1, 2, 3):
+            frames = enumerate_frames(cls, size)
+            rows = FrameList(frames).rows
+            for j, frame in enumerate(frames):
+                assert tuple(sorted(row for row, members in rows.items()
+                                    if members >> j & 1)) == frame.offsets
+
     def test_runs_across_frames_must_cover_them(self):
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
         layout = LaneLayout([FrameList([chain, chain])], 4)
@@ -519,6 +528,21 @@ class TestCoordinateCodec:
         for w in range(codec.worlds):
             assert codec.coords(w) == tuples[w]
             assert codec.index(codec.coords(w)) == w
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_widen_is_the_worlds_with_a_coordinate_in_the_mask(self, data):
+        # bit w of widen(i, mask) is set iff coordinate i of world w is a
+        # bit of mask; the second call reads the cached repunit
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        codec = CoordinateCodec(sizes)
+        i = data.draw(st.integers(0, len(sizes) - 1))
+        for mask in data.draw(st.lists(
+                st.integers(0, (1 << sizes[i]) - 1), min_size=2, max_size=2)):
+            widened = codec.widen(i, mask)
+            assert widened >> codec.worlds == 0
+            for w in range(codec.worlds):
+                assert widened >> w & 1 == mask >> codec.coords(w)[i] & 1
 
     def test_coords_rejects_missing_worlds(self):
         codec = CoordinateCodec([2, 3])
