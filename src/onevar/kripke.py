@@ -3,12 +3,12 @@
 Worlds are 0-based integers.  A :class:`Frame1` is a unimodal frame, stored
 as its own one-factor plan: one source mask per edge offset.  Product worlds
 are numbered row-major by :class:`CoordinateCodec`, the one place that maps
-world indices to factor coordinates and back; a :class:`ProductModel` holds
-the codec of its factors.  Relation ``i`` of a product moves only
-coordinate ``i``, so a product frame, its :class:`ShiftPlan`, is the
-factors' offset rows, each widened by :meth:`CoordinateCodec.widen` to the
-worlds whose coordinate ``i`` is one of the row's sources.  Frames, models
-and satisfaction sets are immutable after construction.
+world indices to factor coordinates and back.  Relation ``i`` of a product
+moves only coordinate ``i``, so a product frame, its :class:`ShiftPlan`, is
+the factors' offset rows, each widened by :meth:`CoordinateCodec.widen` to
+the worlds whose coordinate ``i`` is a row source; the plan carries that
+codec, a :class:`ProductModel`'s one numbering.  Frames, models and
+satisfaction sets are immutable after construction.
 
 The model checker :func:`sat_mask` labels the shared formula DAG bottom-up
 using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
@@ -264,16 +264,18 @@ class ShiftPlan:
     ``targets`` is the mask of all successors of ``w``, and no row has
     ``w`` among its sources.  The relation is the union of both forms, each
     edge in one of them.  The rows are stored as given, so callers pass
-    tuples.
+    tuples.  ``codec`` numbers the worlds; ``arity`` and ``worlds`` are its
+    coordinate and world counts.
     """
 
-    __slots__ = ("arity", "worlds", "steps", "fans")
+    __slots__ = ("codec", "arity", "worlds", "steps", "fans")
 
-    def __init__(self, arity: int, worlds: int,
+    def __init__(self, codec: CoordinateCodec,
                  steps: tuple[tuple[tuple[int, int], ...], ...],
                  fans: tuple[tuple[tuple[int, int], ...], ...]):
-        self.arity = arity
-        self.worlds = worlds
+        self.codec = codec
+        self.arity = len(codec.sizes)
+        self.worlds = codec.worlds
         self.steps = steps
         self.fans = fans
 
@@ -412,7 +414,7 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
             for x, ys in sorted(targets.items())
             for w in range(high + x * stride, high + (x + 1) * stride))
             if targets else ())
-    return ShiftPlan(len(factors), codec.worlds, tuple(steps), tuple(fans))
+    return ShiftPlan(codec, tuple(steps), tuple(fans))
 
 
 class FrameList:
@@ -499,7 +501,8 @@ class LaneLayout:
         lane.  The row as :func:`product` widens it, times those lane
         starts, places it at each of its lanes, so the cost is linear in the
         run's bits per row.  Runs of frames recur from block to block, so
-        their lane starts are kept.  A lane plan has no fans.
+        their lane starts are kept.  A lane plan has no fans; its codec
+        stacks the lanes along coordinate 0, lane ``l`` at ``l*sizes[0] ..``.
         """
         frame, lane = divmod(first, self.valuations)
         if lane + count <= self.valuations:
@@ -531,8 +534,9 @@ class LaneLayout:
                 if sources:
                     step.append((d, sources))
             steps.append(tuple(step))
-        return ShiftPlan(len(self.lists), n * count, tuple(steps),
-                         ((),) * len(self.lists))
+        sizes = self.codec.sizes
+        return ShiftPlan(CoordinateCodec((sizes[0] * count, *sizes[1:])),
+                         tuple(steps), ((),) * len(self.lists))
 
 
 def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
@@ -566,13 +570,14 @@ class ProductModel:
 
     ``masks`` maps variable indices to world masks (bit ``w`` for world
     ``w``), the model's one valuation representation; variables without an
-    entry are false everywhere.  ``codec`` numbers the worlds by their
-    factor coordinates, and ``frame`` is the product's :class:`ShiftPlan`
-    (built here unless a caller passes the one it already has for the same
-    factors).  The constructor takes world-index sets and converts each
-    once; :meth:`from_masks` takes the masks.  The satisfaction cache is
-    per-model and keyed by interned formula ids, so repeated checks over the
-    shared DAG cost one pass.
+    entry are false everywhere.  ``frame`` is the product's
+    :class:`ShiftPlan`, built here unless a caller passes the one it already
+    has for the same factors, and ``codec`` is the plan's codec, the one
+    numbering of the worlds by their factor coordinates; a passed plan's
+    codec must have the factors' sizes, in their order.  The constructor
+    takes world-index sets and converts each once; :meth:`from_masks` takes
+    the masks.  The satisfaction cache is per-model and keyed by interned
+    formula ids, so repeated checks over the shared DAG cost one pass.
     """
 
     __slots__ = ("factors", "codec", "frame", "masks", "point", "_sat_cache")
@@ -581,11 +586,9 @@ class ProductModel:
                  valuation: Mapping[int, Iterable[int]],
                  point: int,
                  frame: ShiftPlan | None = None):
-        self.factors = tuple(factors)
-        self.codec = CoordinateCodec(f.worlds for f in self.factors)
+        self._place(factors, point, frame)
         self.masks = {int(var): _world_mask(var, ws, self.codec.worlds)
                       for var, ws in valuation.items()}
-        self._place(point, frame)
 
     @classmethod
     def from_masks(cls, factors: Sequence[Frame1], masks: Mapping[int, int],
@@ -594,24 +597,24 @@ class ProductModel:
         """Build a model from one world mask per variable; rejects a
         negative mask and a bit at or above the world count."""
         model = cls.__new__(cls)
-        model.factors = tuple(factors)
-        model.codec = CoordinateCodec(f.worlds for f in model.factors)
+        model._place(factors, point, frame)
         for var, mask in masks.items():
             if mask < 0 or mask >> model.codec.worlds:
                 raise ValueError(f"mask of variable {var} has bits outside "
                                  f"worlds 0..{model.codec.worlds - 1}")
         model.masks = {int(var): mask for var, mask in masks.items()}
-        model._place(point, frame)
         return model
 
-    def _place(self, point: int, frame: ShiftPlan | None) -> None:
+    def _place(self, factors: Sequence[Frame1], point: int,
+               frame: ShiftPlan | None) -> None:
+        self.factors = tuple(factors)
         if frame is None:
             frame = product(self.factors)
-        elif (frame.worlds != self.codec.worlds
-              or frame.arity != len(self.factors)):
+        elif frame.codec.sizes != tuple(f.worlds for f in self.factors):
             raise ValueError("the frame is not the product of the factors")
         self.frame = frame
-        if not 0 <= point < self.frame.worlds:
+        self.codec = frame.codec
+        if not 0 <= point < frame.worlds:
             raise ValueError(f"point {point} outside worlds")
         self.point = point
         self._sat_cache: dict[int, int] = {}
@@ -630,10 +633,10 @@ class ProductModel:
                     valuation: Mapping[int, Iterable[Sequence[int]]],
                     point: Sequence[int]) -> "ProductModel":
         """Build a model giving the valuation and point by coordinate tuples."""
-        codec = CoordinateCodec(f.worlds for f in factors)
-        val = {var: [codec.index(c) for c in coords_list]
+        frame = product(factors)
+        val = {var: [frame.codec.index(c) for c in coords_list]
                for var, coords_list in valuation.items()}
-        return cls(factors, val, codec.index(point))
+        return cls(factors, val, frame.codec.index(point), frame)
 
     # unused by the package; perfbench/tracer.py patches it by name
     def with_valuation(self, valuation: Mapping[int, Iterable[int]]

@@ -39,8 +39,7 @@ from onevar.surgery import (ExtractionFailed, PreconditionFailed,
                             check_kept_points_marked, check_marker_agreement,
                             check_marker_exactness, extract_countermodel,
                             transfer_countermodel)
-from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
-                                TranslationContext, VariantConfig)
+from onevar.translation import TranslationContext, VariantConfig
 
 EXHAUSTIVE_VALUATION_BITS = 18
 BLOCK_BITS = 12  # a block holds at most 2**BLOCK_BITS (frame, valuation) lanes
@@ -123,7 +122,8 @@ class SearchBudget:
     set, in which case sampling is refused and the search raises instead of
     silently weakening a none-within-bounds certificate.  ``time_limit``
     (seconds) is checked before each block of up to ``2**BLOCK_BITS``
-    (frame, valuation) lanes.
+    (frame, valuation) lanes; a size's frames are enumerated before its
+    first block, so the limit does not bound that enumeration.
     """
 
     max_worlds_per_factor: int = 3
@@ -353,8 +353,7 @@ def search_countermodel(f: Formula, classes: Sequence[FactorClass],
 
 
 def find_all_countermodels(f: Formula, classes: Sequence[FactorClass],
-                           budget: SearchBudget,
-                           limit: int | None = None
+                           budget: SearchBudget
                            ) -> tuple[list[ProductModel], str]:
     """All countermodels within bounds (one refuting point per model), and
     the completion status of the sweep."""
@@ -362,11 +361,9 @@ def find_all_countermodels(f: Formula, classes: Sequence[FactorClass],
 
     def collect(model: ProductModel) -> bool:
         found.append(model)
-        return limit is not None and len(found) >= limit
+        return False
 
     status, _ = _search(f, classes, budget, collect)
-    if status == FOUND:  # stopped early by the limit
-        status = BUDGET_EXHAUSTED
     return found, status
 
 
@@ -656,7 +653,7 @@ def differential_suite(corpus: Sequence[str],
                        budget: SearchBudget,
                        reduction_budget: SearchBudget,
                        store: FormulaStore,
-                       variant: VariantConfig | None = None,
+                       variant: VariantConfig,
                        k_mode: bool = False) -> SuiteReport:
     """Both directions of the reduction's validity equivalence, per formula.
 
@@ -668,8 +665,6 @@ def differential_suite(corpus: Sequence[str],
     countermodel of the source.  Searches that find nothing leave the
     direction vacuous; a produced-but-unverifiable witness fails the suite.
     """
-    if variant is None:
-        variant = K_MODE_DEFAULT_VARIANT if k_mode else DEFAULT_VARIANT
     rows = []
     for text in corpus:
         f = parse(text, len(classes), store)

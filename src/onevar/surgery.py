@@ -281,6 +281,7 @@ class ExtractionResult:
     model: ProductModel
     point: int
     checks: dict
+    reach: int  # worlds of the input within ctx.depth steps of its point
 
     def to_json(self) -> dict:
         return {
@@ -340,7 +341,7 @@ def build_extraction(counter: ProductModel, f: Formula,
 
     refuted = not check(model, model.point, f)
     checks = {"guard-at-point": True, "refutes-source": refuted}
-    return ExtractionResult(tuple(kept), model, model.point, checks)
+    return ExtractionResult(tuple(kept), model, model.point, checks, reach)
 
 
 def extract_countermodel(counter: ProductModel, f: Formula,
@@ -360,12 +361,10 @@ def check_kept_points_marked(counter: ProductModel,
                              extraction: ExtractionResult,
                              ctx: TranslationContext) -> SurgeryReport:
     """Every kept point within reach of the refuting point must satisfy the
-    base marker in the source model."""
-    reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth,
-                               range(1, ctx.arity + 1))
+    base marker in the source model (the reach the extraction kept)."""
     marked = counter.sat(ctx.base_marker())
     kept = sum(1 << x for x in extraction.kept_first_factor)
-    in_scope = reach & counter.codec.widen(0, kept)
+    in_scope = extraction.reach & counter.codec.widen(0, kept)
     violations = [(counter.coords_of(w),)
                   for w in bit_indices(in_scope & ~marked)]
     return SurgeryReport("kept-points-marked", in_scope.bit_count(),

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import onevar.kripke
 from onevar.formulas import (AND, BOT, BOX, IMP, OR, VAR, FormulaStore,
                              ModalityError, box_upto, postorder)
 from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
@@ -59,7 +60,8 @@ def tiled(plan, copies):
     and each fan repeated in every copy."""
     n = plan.worlds
     ones = int(("0" * (n - 1) + "1") * copies, 2)
-    return ShiftPlan(plan.arity, n * copies,
+    sizes = plan.codec.sizes
+    return ShiftPlan(CoordinateCodec((sizes[0] * copies, *sizes[1:])),
                      tuple(tuple((d, sources * ones) for d, sources in row)
                            for row in plan.steps),
                      tuple(tuple((w + c * n, targets << c * n)
@@ -163,8 +165,7 @@ def edge_product(factors):
             d = (y - x) * stride
             sources[d] = sources.get(d, 0) | column << x * stride
         steps.append(tuple(sorted(sources.items())))
-    return ShiftPlan(len(factors), codec.worlds, tuple(steps),
-                     ((),) * len(factors))
+    return ShiftPlan(codec, tuple(steps), ((),) * len(factors))
 
 
 def edge_restrict(frame, keep):
@@ -496,8 +497,10 @@ class TestLaneLayout:
                 lane += width
             plan = layout.plan(first, count)
             assert plan.worlds == count * n
-            assert denoted(plan) == denoted(ShiftPlan(
-                len(lists), count * n, rows, fans))
+            sizes = layout.codec.sizes
+            lanes = CoordinateCodec((sizes[0] * count, *sizes[1:]))
+            assert plan.codec.sizes == lanes.sizes
+            assert denoted(plan) == denoted(ShiftPlan(lanes, rows, fans))
 
     @pytest.mark.parametrize("cls", list(FactorClass))
     def test_frame_list_rows_give_back_each_frames_offsets(self, cls):
@@ -549,6 +552,58 @@ class TestCoordinateCodec:
         for w in (-1, 6):
             with pytest.raises(ValueError):
                 codec.coords(w)
+
+
+class TestModelNumbering:
+    # a model numbers its worlds by its plan's codec, the one codec that
+    # product() builds for the factors
+    T2 = Frame1(2, [(0, 0), (1, 1), (0, 1)])
+    K3 = Frame1(3, [(0, 1), (1, 2)])
+
+    def codecs_built(self, monkeypatch, build):
+        """The result of ``build()`` and the codecs built meanwhile."""
+        built = []
+
+        class Counting(CoordinateCodec):
+            def __init__(self, sizes):
+                built.append(tuple(sizes))
+                super().__init__(built[-1])
+
+        monkeypatch.setattr(onevar.kripke, "CoordinateCodec", Counting)
+        return build(), len(built)
+
+    def test_plan_of_other_factors_rejected(self):
+        # the same world count and arity, but factor 1 of the plan is the
+        # 3-world frame: read through it, [1]p1 would hold at world 0,
+        # while the factors say it fails
+        for make in (ProductModel.from_masks, ProductModel):
+            with pytest.raises(ValueError, match="not the product"):
+                make([self.T2, self.K3], {1: 0b000111}, 0,
+                     product([self.K3, self.T2]))
+
+    def test_one_codec_per_model(self, monkeypatch):
+        factors = [self.T2, self.K3]
+        model, built = self.codecs_built(
+            monkeypatch, lambda: ProductModel.from_masks(factors, {1: 5}, 0))
+        assert built == 1
+        doc = model.to_json()
+        back, built = self.codecs_built(
+            monkeypatch, lambda: ProductModel.from_json(doc))
+        assert built == 1
+        assert back.masks == model.masks
+
+    def test_model_reads_its_plans_codec(self):
+        factors = [self.T2, self.K3]
+        plan = product(factors)
+        models = [ProductModel(factors, {1: [0]}, 1),
+                  ProductModel(factors, {1: [0]}, 1, plan),
+                  ProductModel.from_masks(factors, {1: 1}, 1),
+                  ProductModel.from_coords(factors, {1: [(0, 0)]}, (0, 1))]
+        models.append(ProductModel.from_json(models[0].to_json()))
+        for model in models:
+            assert model.codec is model.frame.codec
+            assert model.codec.sizes == (2, 3)
+        assert models[1].frame is plan
 
 
 class TestRestrict:

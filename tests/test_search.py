@@ -376,7 +376,7 @@ class TestDifferentialSuite:
             ("F",), TT,
             SearchBudget(max_worlds_per_factor=1),
             SearchBudget(per_factor_max=(4, 1)),
-            store)
+            store, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "found"
         assert row.transfer == "verified"
@@ -390,7 +390,7 @@ class TestDifferentialSuite:
             ("[1]p1 -> p1",), TT,
             SearchBudget(max_worlds_per_factor=2),
             SearchBudget(per_factor_max=(2, 1)),
-            store)
+            store, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "none-within-bounds"
         assert row.transfer == "vacuous"
@@ -401,7 +401,7 @@ class TestDifferentialSuite:
             ("p1 -> [2]p1",), TT,
             SearchBudget(max_worlds_per_factor=2),
             SearchBudget(per_factor_max=(2, 1)),
-            store)
+            store, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "found"
         assert row.transfer == "verified"
@@ -417,7 +417,7 @@ class TestDifferentialSuite:
             DEFAULT_SUITE_CORPUS, TT,
             SearchBudget(max_worlds_per_factor=2),
             SearchBudget(per_factor_max=(4, 1)),
-            store)
+            store, DEFAULT_VARIANT)
         assert report.passed
         exercised = [r for r in report.rows if r.transfer == "verified"]
         assert len(exercised) >= 5

@@ -568,6 +568,61 @@ class TestKeptPointsScan:
         report = check_kept_points_marked(result.model, extraction, ctx)
         assert report.passed and report.checked == 1
 
+    def test_scan_reads_the_extractions_reach(self, store, monkeypatch):
+        f, ctx = make_ctx(store, "p1 -> [1][2]p1")
+        base = ProductModel.from_coords(
+            [REFLEXIVE_CHAIN, REFLEXIVE_POINT], {1: [(0, 0)]}, (0, 0))
+        result = transfer_countermodel(base, f, ctx)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bounded_reach_mask(*args)
+
+        monkeypatch.setattr(onevar.surgery, "bounded_reach_mask", counted)
+        extraction = extract_countermodel(result.model, f, ctx)
+        report = check_kept_points_marked(result.model, extraction, ctx)
+        assert len(calls) == 1
+        assert extraction.reach == bounded_reach_mask(*calls[0])
+        assert report == reference_kept_points(result.model, extraction, ctx)
+
+
+class TestGuardAblation:
+    # A transfer output with the reserved variable erased on the gadgets of
+    # one column: the base marker still holds at the point, but no longer
+    # at its neighbour in that column, so only the uniformity guard stands
+    # between the mutant and an extraction that does not verify.
+    S5_PAIR = Frame1(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+    def mutant(self, store):
+        f, ctx = make_ctx(store, "~[2]p1")
+        base = ProductModel.from_coords(
+            [REFLEXIVE_POINT, self.S5_PAIR], {1: [(0, 0), (0, 1)]}, (0, 0))
+        model = transfer_countermodel(base, f, ctx).model
+        codec = model.codec
+        # every first coordinate but the one base world, 0
+        gadgets = codec.widen(0, (1 << codec.sizes[0]) - 2)
+        erased = model.masks[0] & ~(gadgets & codec.widen(1, 0b10))
+        assert erased != model.masks[0]
+        return f, ctx, ProductModel.from_masks(
+            model.factors, {0: erased}, model.point, model.frame)
+
+    def test_shipped_guard_rejects_the_mutant(self, store):
+        f, ctx, mutant = self.mutant(store)
+        assert check(mutant, mutant.point, ctx.base_marker())
+        assert check(mutant, mutant.point, ctx.reduce(f))
+        with pytest.raises(PreconditionFailed):
+            build_extraction(mutant, f, ctx)
+
+    def test_marker_alone_lets_the_mutant_through(self, store, monkeypatch):
+        f, ctx, mutant = self.mutant(store)
+        monkeypatch.setattr(TranslationContext, "uniform_guard",
+                            TranslationContext.base_marker)
+        assert not check(mutant, mutant.point, ctx.reduce(f))
+        assert not check_naive(mutant, mutant.point, ctx.reduce(f))
+        extraction = build_extraction(mutant, f, ctx)
+        assert extraction.checks["refutes-source"] is False
+
 
 class TestGadgetSelectivity:
     def test_no_cross_ladder_probe_hits(self, store):
@@ -754,7 +809,9 @@ class TestMaskSurgeriesMatchPerWorld:
         # any rows of the transferred model, to reach unmarked points
         rows = result.model.factors[0].worlds
         kept = tuple(x for x in range(rows) if data.draw(st.booleans()))
-        drawn = ExtractionResult(kept, result.model, result.point, {})
+        reach = bounded_reach_mask(result.model.frame, result.model.point,
+                                   ctx.depth, range(1, ctx.arity + 1))
+        drawn = ExtractionResult(kept, result.model, result.point, {}, reach)
         assert check_kept_points_marked(result.model, drawn, ctx) == \
             reference_kept_points(result.model, drawn, ctx)
         try:
