@@ -21,9 +21,9 @@ world, and a fan costs one AND.  Offsets survive disjoint copies of a
 frame, so one pass over the plan of many copies evaluates one valuation per
 copy at once (bit-sliced valuations, as in Biham's bitsliced DES, FSE
 1997), and the copies need not share a frame: :class:`LaneLayout` lays out
-the products of one frame per :class:`FrameList`, each under the same
-valuations, as lanes, and builds the plan of any block of lanes from the
-same widened rows, each placed at the lanes of the frames that have it.
+the products of one frame per :class:`FrameList` as lanes, and builds the
+plan of a block of frames, each over the same lanes, from the same widened
+rows, each placed at the lanes of the frames that have it.
 :func:`check_naive` is an independent oracle: a top-down recursive
 evaluator, memoized per (node, world) within one call, that reads the
 factors, not the plan, kept deliberately separate so the two can be
@@ -265,15 +265,18 @@ class ShiftPlan:
     ``w`` among its sources.  The relation is the union of both forms, each
     edge in one of them.  The rows are stored as given, so callers pass
     tuples.  ``codec`` numbers the worlds; ``arity`` and ``worlds`` are its
-    coordinate and world counts.
+    coordinate and world counts.  ``factors`` are a :func:`product` plan's
+    factors, and ``None`` in a lane plan.
     """
 
-    __slots__ = ("codec", "arity", "worlds", "steps", "fans")
+    __slots__ = ("codec", "factors", "arity", "worlds", "steps", "fans")
 
     def __init__(self, codec: CoordinateCodec,
+                 factors: tuple[Frame1, ...] | None,
                  steps: tuple[tuple[tuple[int, int], ...], ...],
                  fans: tuple[tuple[tuple[int, int], ...], ...]):
         self.codec = codec
+        self.factors = factors
         self.arity = len(codec.sizes)
         self.worlds = codec.worlds
         self.steps = steps
@@ -399,6 +402,7 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
     of ``n`` worlds has at most ``2n - 1`` offsets, so factors of 8 worlds
     or fewer never fan.
     """
+    factors = tuple(factors)
     if not factors:
         raise ValueError("a product needs at least one factor")
     codec = CoordinateCodec(f.worlds for f in factors)
@@ -414,7 +418,7 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
             for x, ys in sorted(targets.items())
             for w in range(high + x * stride, high + (x + 1) * stride))
             if targets else ())
-    return ShiftPlan(codec, tuple(steps), tuple(fans))
+    return ShiftPlan(codec, factors, tuple(steps), tuple(fans))
 
 
 class FrameList:
@@ -445,29 +449,25 @@ class FrameList:
 
 
 class LaneLayout:
-    """The lanes of a sweep over the products of one frame from each list,
-    each product checked under the same ``valuations`` valuations.
+    """The lanes of a sweep over the products of one frame from each list.
 
     Frames are numbered by a :class:`CoordinateCodec` over the list
     lengths: frame ``k`` takes frame ``coords(k)[i]`` of list ``i``, which
-    is :func:`itertools.product` order of the lists.  Lane ``k*V + v``
-    holds valuation ``v`` of frame ``k``: frame-major, then valuation, with
-    ``n`` world bits per lane, numbered by ``codec``.  :meth:`plan` builds
-    the :class:`ShiftPlan` of a run of lanes, which :func:`sat_mask` checks
-    in one pass (frames as lanes, as valuations are lanes of one frame:
-    bit-sliced, after Biham's bitsliced DES, FSE 1997).
+    is :func:`itertools.product` order of the lists.  A lane is one
+    valuation of one frame's product, on ``n`` world bits numbered by
+    ``codec``.  :meth:`plan` builds the :class:`ShiftPlan` of a block of
+    lanes named by its frames, which :func:`sat_mask` checks in one pass
+    (frames as lanes, as valuations are lanes of one frame: bit-sliced,
+    after Biham's bitsliced DES, FSE 1997).
     """
 
-    __slots__ = ("lists", "valuations", "codec", "_frame_codec", "frames",
-                 "_rows", "_starts")
+    __slots__ = ("lists", "codec", "_frame_codec", "frames", "_rows",
+                 "_starts")
 
-    def __init__(self, lists: Sequence[FrameList], valuations: int):
+    def __init__(self, lists: Sequence[FrameList]):
         if not lists:
             raise ValueError("a product needs at least one factor")
-        if valuations < 1:
-            raise ValueError("a frame needs at least one valuation")
         self.lists = tuple(lists)
-        self.valuations = valuations
         self.codec = CoordinateCodec(lst.worlds for lst in self.lists)
         self._frame_codec = CoordinateCodec(len(lst.frames)
                                             for lst in self.lists)
@@ -483,40 +483,33 @@ class LaneLayout:
                     (self.codec.widen(i, sources),
                      self._frame_codec.widen(i, frames)))
             self._rows.append(tuple(rows.items()))
-        # lane starts by (frames of the run with a row, lanes in the run)
-        self._starts: dict[tuple[int, int], int] = {}
+        # lane starts by (the block's frames with a row, frames, width)
+        self._starts: dict[tuple[int, int, int], int] = {}
 
     def factors(self, frame: int) -> tuple[Frame1, ...]:
         """The factors of frame ``frame``."""
         return tuple(lst.frames[j] for lst, j in
                      zip(self.lists, self._frame_codec.coords(frame)))
 
-    def plan(self, first: int, count: int) -> ShiftPlan:
-        """The plan of lanes ``first .. first + count - 1``, lane ``first +
-        l`` on worlds ``l*n .. l*n + n - 1``.
+    def plan(self, frame: int, frames: int, width: int) -> ShiftPlan:
+        """The plan of ``frames`` frames from frame ``frame`` on, each over
+        ``width`` lanes: lane ``l`` is a lane of frame ``frame + l //
+        width``, on worlds ``l*n .. l*n + n - 1``.
 
-        The run lies inside one frame or covers whole frames.  Each row's
-        frames in the run are widened to their runs of lanes, and one
-        division by ``2**n - 1`` leaves one bit at the first world of each
-        lane.  The row as :func:`product` widens it, times those lane
-        starts, places it at each of its lanes, so the cost is linear in the
-        run's bits per row.  Runs of frames recur from block to block, so
-        their lane starts are kept.  A lane plan has no fans; its codec
-        stacks the lanes along coordinate 0, lane ``l`` at ``l*sizes[0] ..``.
+        Each row's frames in the block are widened to their runs of lanes,
+        and one division by ``2**n - 1`` leaves one bit at the first world
+        of each lane.  The row as :func:`product` widens it, times those
+        lane starts, places it at each of its lanes, so the cost is linear
+        in the block's bits per row.  Blocks recur, so their lane starts
+        are kept.  A lane plan has no fans and no factors; its codec stacks
+        the lanes along coordinate 0, lane ``l`` at ``l*sizes[0] ..``.
         """
-        frame, lane = divmod(first, self.valuations)
-        if lane + count <= self.valuations:
-            width, frames = count, 1
-        elif lane == 0 and count % self.valuations == 0:
-            width, frames = self.valuations, count // self.valuations
-        else:
-            raise ValueError("a run of lanes lies inside one frame or "
-                             "covers whole frames")
-        if count < 1 or first < 0 or frame + frames > self.frames:
-            raise ValueError(f"no run of lanes {first}..{first + count - 1} "
-                             f"in the sweep")
+        if (frame < 0 or frames < 1 or width < 1
+                or frame + frames > self.frames):
+            raise ValueError(f"no block of {frames} frames from frame "
+                             f"{frame}, {width} lanes each, in the sweep")
         n = self.codec.worlds
-        bits = width * n  # the bits of one frame's lanes in the run
+        bits = width * n  # the bits of one frame's lanes in the block
         low = (1 << frames) - 1
 
         steps = []
@@ -525,7 +518,7 @@ class LaneLayout:
             for d, rows in by_offset:
                 sources = 0
                 for widened, members in rows:
-                    key = (members >> frame & low, count)
+                    key = (members >> frame & low, frames, width)
                     starts = self._starts.get(key)
                     if starts is None:
                         starts = _runs(key[0], bits, frames) // ((1 << n) - 1)
@@ -535,8 +528,8 @@ class LaneLayout:
                     step.append((d, sources))
             steps.append(tuple(step))
         sizes = self.codec.sizes
-        return ShiftPlan(CoordinateCodec((sizes[0] * count, *sizes[1:])),
-                         tuple(steps), ((),) * len(self.lists))
+        lanes = CoordinateCodec((sizes[0] * frames * width, *sizes[1:]))
+        return ShiftPlan(lanes, None, tuple(steps), ((),) * len(self.lists))
 
 
 def restrict(frame: Frame1, keep: Iterable[int]) -> Frame1:
@@ -573,8 +566,8 @@ class ProductModel:
     entry are false everywhere.  ``frame`` is the product's
     :class:`ShiftPlan`, built here unless a caller passes the one it already
     has for the same factors, and ``codec`` is the plan's codec, the one
-    numbering of the worlds by their factor coordinates; a passed plan's
-    codec must have the factors' sizes, in their order.  The constructor
+    numbering of the worlds by their factor coordinates; a passed plan must
+    be :func:`product` of equal factors, in their order.  The constructor
     takes world-index sets and converts each once; :meth:`from_masks` takes
     the masks.  The satisfaction cache is per-model and keyed by interned
     formula ids, so repeated checks over the shared DAG cost one pass.
@@ -610,7 +603,7 @@ class ProductModel:
         self.factors = tuple(factors)
         if frame is None:
             frame = product(self.factors)
-        elif frame.codec.sizes != tuple(f.worlds for f in self.factors):
+        elif frame.factors != self.factors:
             raise ValueError("the frame is not the product of the factors")
         self.frame = frame
         self.codec = frame.codec

@@ -11,9 +11,9 @@ enumerated exhaustively while the assignment space is at most
 that.  Every frame of a size is checked under the same
 valuations, so the (frame, valuation) pairs of a size are lanes laid out
 frame-major (:class:`~onevar.kripke.LaneLayout`), and one bitmask pass over
-a block's shift plan checks up to ``2**BLOCK_BITS`` lanes: whole frames
-while a frame's valuations fit in a block, slices of one frame beyond
-that.  Every countermodel the search returns
+a block's shift plan checks up to ``2**BLOCK_BITS`` lanes.  The search
+names each block's frames: whole frames while a frame's valuations fit in
+a block, one frame beyond that.  Every countermodel the search returns
 has been re-checked with the independent naive evaluator, so a result is
 never an artifact of the bitmask checker.  The re-check is memoized per
 (node, world), so it costs about as much as extracting the witness.
@@ -203,6 +203,8 @@ def _sampled_blocks(n_worlds: int, var_list: list[int], budget: SearchBudget
     """``budget.max_valuations`` seeded valuations in blocks, laid out as in
     :func:`_exhaustive_blocks`; each valuation draws one world mask per
     variable, in ``var_list`` order.  Every frame is checked under these."""
+    if budget.max_valuations < 1:
+        raise ValueError("a frame needs at least one valuation")
     rng = random.Random(budget.seed)
     blocks = []
     left = budget.max_valuations
@@ -223,32 +225,30 @@ def _frame_list(cls: FactorClass, size: int) -> FrameList:
 
 
 def _lane_blocks(frames: int, valuations: list[tuple[int, dict[int, int]]],
-                 n_worlds: int) -> Iterator[tuple[int, int, dict[int, int]]]:
+                 n_worlds: int) -> Iterator[tuple[int, int, int, int, dict]]:
     """The blocks of a sweep over ``frames`` frames, each checked under the
-    valuation blocks ``valuations``, as ``(first lane, lanes, {var: block
-    mask})`` in lane order (see :class:`LaneLayout`).
+    valuation blocks ``valuations``, in lane order (see :class:`LaneLayout`).
 
-    While a frame's valuations fit in one block, a block holds as many
-    whole frames as fit, each with a copy of the valuation masks; otherwise
-    each valuation block of each frame is a block.
+    A block is ``(frame, frames, width, first lane, {var: block mask})``:
+    ``frames`` frames from ``frame`` on, each over the ``width`` lanes of
+    one valuation block.  As many whole frames as fit share a block, each
+    with a copy of the valuation masks; when a frame's valuations fill a
+    block or more, that is one frame, and the masks pass through unchanged.
     """
-    if len(valuations) > 1:
-        first = 0
-        for _ in range(frames):
-            for lanes, masks in valuations:
-                yield first, lanes, masks
-                first += lanes
-        return
-    [(lanes, masks)] = valuations
-    per_block = (1 << BLOCK_BITS) // lanes
-    copies = repunit(lanes * n_worlds, per_block)
-    tiled = {var: mask * copies for var, mask in masks.items()}
+    per_block = max(1, (1 << BLOCK_BITS)
+                    // sum(lanes for lanes, _ in valuations))
+    tiled = [(lanes, {var: mask * repunit(lanes * n_worlds, per_block)
+                      for var, mask in masks.items()})
+             for lanes, masks in valuations]
+    first = 0
     for frame in range(0, frames, per_block):
-        count = min(per_block, frames - frame) * lanes
-        if count < per_block * lanes:
-            tiled = {var: mask & (1 << count * n_worlds) - 1
-                     for var, mask in tiled.items()}
-        yield frame * lanes, count, tiled
+        count = min(per_block, frames - frame)
+        for lanes, masks in tiled:
+            if count < per_block:  # the last block is short
+                masks = {var: mask & (1 << count * lanes * n_worlds) - 1
+                         for var, mask in masks.items()}
+            yield frame, count, lanes, first, masks
+            first += count * lanes
 
 
 class CheckerDisagreement(RuntimeError):
@@ -283,6 +283,12 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
     stats = {"models-checked": 0, "frames-checked": 0}
+
+    def checked(lanes: int) -> None:
+        # this size's first ``lanes`` lanes, and the frames they begin
+        stats["models-checked"] = models + lanes
+        stats["frames-checked"] = frames + -(-lanes // per_frame)
+
     complete = True
     for sizes in _size_vectors(arity, limits):
         n = math.prod(sizes)
@@ -294,24 +300,21 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
             valuations = _sampled_blocks(n, var_list, budget)
         per_frame = sum(lanes for lanes, _ in valuations)
         layout = LaneLayout([_frame_list(cls, s)
-                             for cls, s in zip(classes, sizes)], per_frame)
+                             for cls, s in zip(classes, sizes)])
         models, frames = stats["models-checked"], stats["frames-checked"]
-        for first, lanes, masks in _lane_blocks(layout.frames, valuations, n):
+        for frame, count, width, first, masks in _lane_blocks(
+                layout.frames, valuations, n):
             if deadline is not None and time.monotonic() > deadline:
-                stats["models-checked"] = models + first
-                # the frames begun, the last perhaps in part
-                stats["frames-checked"] = frames + -(-first // per_frame)
+                checked(first)
                 return BUDGET_EXHAUSTED, stats
-            plan = layout.plan(first, lanes)
+            plan = layout.plan(frame, count, width)
             refuting = ((1 << plan.worlds) - 1) & ~sat_mask(plan, masks, f, {})
             while refuting:
                 lane, point = divmod(
                     (refuting & -refuting).bit_length() - 1, n)
                 start = lane * n
-                frame = (first + lane) // per_frame
-                stats["models-checked"] = models + first + lane + 1
-                stats["frames-checked"] = frames + frame + 1
-                factors = layout.factors(frame)
+                checked(first + lane + 1)
+                factors = layout.factors(frame + lane // width)
                 witness = ProductModel.from_masks(
                     factors,
                     {var: mask >> start & lane_bits
@@ -330,8 +333,7 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                 if on_found(witness):
                     return FOUND, stats
                 refuting &= -1 << start + n  # skip the rest of this lane
-        stats["models-checked"] = models + layout.frames * per_frame
-        stats["frames-checked"] = frames + layout.frames
+        checked(layout.frames * per_frame)
     return (NONE_WITHIN_BOUNDS if complete else BUDGET_EXHAUSTED), stats
 
 

@@ -9,15 +9,15 @@ lowered to a formula of the single reserved variable ``p``:
 * ``var_marker(k)`` lifts that to a simulated base point: "I do not carry
   ``p``, but the ladder hanging below me measures ``k``";
 * ``base_marker()`` is the marker for the always-present extra ladder
-  (index ``m+1``), plus any variant guard conjuncts; it is meant to hold at
-  exactly the simulated base points;
+  (index ``m+1``), plus the shield conjunct ``[1]~p`` if the variant has
+  it; it is meant to hold at exactly the simulated base points;
 * ``lower(f)`` maps every variable ``pk`` to ``var_marker(k)`` and
   relativizes every box body to the base marker;
 * ``reduce(f)`` prefixes the uniformity guard: ``uniform_guard() -> lower(f)``.
 
 Several readings of the marker formulas are coherent a priori; a
-:class:`VariantConfig` names one reading, and the calibration suite in
-``onevar.search`` picks the default empirically.
+:class:`VariantConfig` names one reading by three flags, and the
+calibration suite in ``onevar.search`` picks the default empirically.
 """
 
 from __future__ import annotations
@@ -33,45 +33,32 @@ class ReservedVariableError(ValueError):
     """The source formula uses the reserved variable (index 0)."""
 
 
-PLAIN = "plain"
-COMPOSITE = "composite"
-GUARD_NO_MARKED_SUCCESSOR = "no-marked-successor"
-KNOWN_GUARDS = (GUARD_NO_MARKED_SUCCESSOR,)
-
-
 @dataclass(frozen=True)
 class VariantConfig:
     """One reading of the marker formulas and the gadget valuation.
 
-    marker_diamond
-        whether the outer diamond of ``var_marker``/``base_marker`` is a
-        plain ``<1>`` or the composite two-step diamond.
+    composite
+        whether the outer diamond of ``var_marker``/``base_marker`` is the
+        composite two-step diamond or a plain ``<1>``.
     mark_first_rung
         whether the ``w0`` point of an active ladder carries ``p`` (the
         surgery module consumes this when it lifts a valuation).
-    guards
-        extra named conjuncts for the base marker.  ``no-marked-successor``
-        adds ``[1]~p``, which separates genuine base points from ladder
-        mouths whose first step already sees ``p``.
+    shield
+        whether the base marker has the conjunct ``[1]~p``, which separates
+        genuine base points from ladder mouths whose first step already
+        sees ``p``.
     """
 
-    marker_diamond: str = COMPOSITE
+    composite: bool = True
     mark_first_rung: bool = True
-    guards: tuple[str, ...] = (GUARD_NO_MARKED_SUCCESSOR,)
-
-    def __post_init__(self):
-        if self.marker_diamond not in (PLAIN, COMPOSITE):
-            raise ValueError(f"unknown diamond kind {self.marker_diamond!r}")
-        for g in self.guards:
-            if g not in KNOWN_GUARDS:
-                raise ValueError(f"unknown guard {g!r}")
+    shield: bool = True
 
     @property
     def name(self) -> str:
-        parts = [self.marker_diamond]
+        parts = ["composite" if self.composite else "plain"]
         if self.mark_first_rung:
             parts.append("rung0")
-        if GUARD_NO_MARKED_SUCCESSOR in self.guards:
+        if self.shield:
             parts.append("shield")
         return "+".join(parts)
 
@@ -80,13 +67,13 @@ class VariantConfig:
 # tests/fixtures/); the K-mode default is calibrated separately because
 # irreflexive gadgets do not need the shield conjunct.
 DEFAULT_VARIANT = VariantConfig()
-K_MODE_DEFAULT_VARIANT = VariantConfig(guards=())
+K_MODE_DEFAULT_VARIANT = VariantConfig(shield=False)
 
 VARIANT_GRID: tuple[VariantConfig, ...] = tuple(
-    VariantConfig(marker_diamond=diamond, mark_first_rung=rung0, guards=guards)
-    for diamond in (PLAIN, COMPOSITE)
+    VariantConfig(composite, rung0, shield)
+    for composite in (False, True)
     for rung0 in (False, True)
-    for guards in ((), (GUARD_NO_MARKED_SUCCESSOR,))
+    for shield in (False, True)
 )
 
 
@@ -168,7 +155,7 @@ class TranslationContext:
             store = self.store
             p = store.var(0)
             body = store.and_(p, self.ladder_probe(k))
-            if self.variant.marker_diamond == COMPOSITE:
+            if self.variant.composite:
                 dia = composite_dia(store, body)
             else:
                 dia = store.dia(1, body)
@@ -181,7 +168,7 @@ class TranslationContext:
         if self._base_marker is None:
             store = self.store
             marker = self.var_marker(self.var_limit + 1)
-            if GUARD_NO_MARKED_SUCCESSOR in self.variant.guards:
+            if self.variant.shield:
                 marker = store.and_(marker,
                                     store.box(1, store.not_(store.var(0))))
             self._base_marker = marker

@@ -15,7 +15,8 @@ from onevar.kripke import (CoordinateCodec, Frame1, FrameList, LaneLayout,
                            bit_indices, bounded_reach_mask, check,
                            check_naive, product, repunit, restrict, sat_mask,
                            sat_set)
-from onevar.search import BLOCK_BITS, FactorClass, enumerate_frames
+from onevar.search import (BLOCK_BITS, FactorClass, SearchBudget,
+                           _lane_blocks, _sampled_blocks, enumerate_frames)
 from tests.test_formulas import random_formula
 
 
@@ -61,7 +62,7 @@ def tiled(plan, copies):
     n = plan.worlds
     ones = int(("0" * (n - 1) + "1") * copies, 2)
     sizes = plan.codec.sizes
-    return ShiftPlan(CoordinateCodec((sizes[0] * copies, *sizes[1:])),
+    return ShiftPlan(CoordinateCodec((sizes[0] * copies, *sizes[1:])), None,
                      tuple(tuple((d, sources * ones) for d, sources in row)
                            for row in plan.steps),
                      tuple(tuple((w + c * n, targets << c * n)
@@ -165,7 +166,8 @@ def edge_product(factors):
             d = (y - x) * stride
             sources[d] = sources.get(d, 0) | column << x * stride
         steps.append(tuple(sorted(sources.items())))
-    return ShiftPlan(codec, tuple(steps), ((),) * len(factors))
+    return ShiftPlan(codec, tuple(factors), tuple(steps),
+                     ((),) * len(factors))
 
 
 def edge_restrict(frame, keep):
@@ -443,19 +445,66 @@ class TestRepunit:
                     ((1 << step * count) - 1) // ((1 << step) - 1)
 
 
+def lane_masks(mask, lanes, n):
+    """The ``n`` bits of each of ``lanes`` lanes of ``mask``, lane 0 first;
+    fails on a bit above the last lane."""
+    digits = format(mask, f"0{lanes * n}b")
+    assert len(digits) == lanes * n
+    return [int(digits[len(digits) - (lane + 1) * n:
+                       len(digits) - lane * n], 2)
+            for lane in range(lanes)]
+
+
 class TestLaneLayout:
     @staticmethod
-    def runs(frames, valuations):
-        """The runs of lanes the search checks as blocks: whole frames while
-        a frame's valuations fit in a block, else block-sized slices of one
-        frame."""
-        block = 1 << BLOCK_BITS
-        if valuations > block:
-            return [(k * valuations + v, min(block, valuations - v))
-                    for k in range(frames) for v in range(0, valuations, block)]
-        per = block // valuations
-        return [(k * valuations, min(per, frames - k) * valuations)
-                for k in range(0, frames, per)]
+    def sweep(data):
+        """The frame lists, layout, valuation count ``V``, valuation blocks
+        and lane blocks of a drawn sweep, the lane blocks as the search
+        makes them."""
+        lists = [enumerate_frames(data.draw(st.sampled_from(list(FactorClass))),
+                                  data.draw(st.integers(1, 3)))
+                 for _ in range(data.draw(st.integers(1, 2)))]
+        valuations = data.draw(st.sampled_from([1, 2, 8, 512, 5000]))
+        layout = LaneLayout([FrameList(lst) for lst in lists])
+        by_valuation = _sampled_blocks(layout.codec.worlds, [1, 2],
+                                       SearchBudget(max_valuations=valuations))
+        return (lists, layout, valuations, by_valuation,
+                list(_lane_blocks(layout.frames, by_valuation,
+                                  layout.codec.worlds)))
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_blocks_cover_the_lanes_once_in_order(self, data):
+        # lane k*V + v holds valuation v of frame k; the blocks run through
+        # lanes 0 .. F*V - 1 once, in order, each at most 2**BLOCK_BITS
+        # lanes of whole frames or of a slice of one frame, and a block's
+        # masks hold each of its lanes' valuation
+        lists, layout, valuations, by_valuation, sweep = self.sweep(data)
+        n = layout.codec.worlds
+        frames = 1
+        for lst in lists:
+            frames *= len(lst)
+        assert layout.frames == frames
+        single = [lane for lanes, masks in by_valuation
+                  for lane in zip(*(lane_masks(masks[var], lanes, n)
+                                    for var in (1, 2)))]
+        assert len(single) == valuations
+        lane = 0
+        for frame, count, width, first, _ in sweep:
+            assert first == lane
+            assert 0 <= first - frame * valuations
+            assert first - frame * valuations + width <= valuations
+            assert count == 1 or width == valuations
+            assert frame + count <= frames
+            assert count * width <= 1 << BLOCK_BITS
+            lane += count * width
+        assert lane == frames * valuations
+        picks = {0, len(sweep) - 1, data.draw(st.integers(0, len(sweep) - 1))}
+        for frame, count, width, first, masks in (sweep[i] for i in picks):
+            got = zip(*(lane_masks(masks[var], count * width, n)
+                        for var in (1, 2)))
+            for lane, lane_valuation in enumerate(got, start=first):
+                assert lane_valuation == single[lane % valuations]
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -463,44 +512,31 @@ class TestLaneLayout:
         # a block's plan denotes the union of its frames' relations, each
         # tiled over the frame's lanes in the block and shifted to the
         # first of them; frames run in itertools.product order of the lists
-        lists = [enumerate_frames(data.draw(st.sampled_from(list(FactorClass))),
-                                  data.draw(st.integers(1, 3)))
-                 for _ in range(data.draw(st.integers(1, 2)))]
-        valuations = data.draw(st.sampled_from([1, 2, 8, 512, 5000]))
-        layout = LaneLayout([FrameList(lst) for lst in lists], valuations)
-        frames = 1
-        for lst in lists:
-            frames *= len(lst)
-        assert layout.frames == frames
-        runs = self.runs(frames, valuations)
-        # the first run, the last (often short) and one more
-        picks = {0, len(runs) - 1,
-                 data.draw(st.integers(0, len(runs) - 1))}
+        lists, layout, _, _, sweep = self.sweep(data)
+        # the first block, the last (often short) and one more
+        picks = {0, len(sweep) - 1, data.draw(st.integers(0, len(sweep) - 1))}
         n = layout.codec.worlds
-        for first, count in (runs[i] for i in sorted(picks)):
+        for frame, count, width, _, _ in (sweep[i] for i in sorted(picks)):
             rows = [[] for _ in lists]
             fans = [[] for _ in lists]
             products = itertools.islice(itertools.product(*lists),
-                                        first // valuations, None)
-            lane = first
-            while lane < first + count:
-                k, v = divmod(lane, valuations)
-                width = min(valuations - v, first + count - lane)
-                factors = next(products)
+                                        frame, frame + count)
+            for k, factors in enumerate(products, start=frame):
                 assert layout.factors(k) == factors
                 plan = tiled(product(factors), width)
-                at = (lane - first) * n
+                at = (k - frame) * width * n
                 for row, out in zip(plan.steps, rows):
                     out += [(d, mask << at) for d, mask in row]
                 for fan, out in zip(plan.fans, fans):
                     out += [(w + at, targets << at) for w, targets in fan]
-                lane += width
-            plan = layout.plan(first, count)
-            assert plan.worlds == count * n
+            plan = layout.plan(frame, count, width)
+            assert plan.worlds == count * width * n
+            assert plan.factors is None
             sizes = layout.codec.sizes
-            lanes = CoordinateCodec((sizes[0] * count, *sizes[1:]))
+            lanes = CoordinateCodec((sizes[0] * count * width, *sizes[1:]))
             assert plan.codec.sizes == lanes.sizes
-            assert denoted(plan) == denoted(ShiftPlan(lanes, rows, fans))
+            assert denoted(plan) == denoted(ShiftPlan(lanes, None, rows,
+                                                      fans))
 
     @pytest.mark.parametrize("cls", list(FactorClass))
     def test_frame_list_rows_give_back_each_frames_offsets(self, cls):
@@ -511,12 +547,14 @@ class TestLaneLayout:
                 assert tuple(sorted(row for row, members in rows.items()
                                     if members >> j & 1)) == frame.offsets
 
-    def test_runs_across_frames_must_cover_them(self):
+    def test_blocks_outside_the_sweep_rejected(self):
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])
-        layout = LaneLayout([FrameList([chain, chain])], 4)
-        for first, count in ((2, 4), (0, 6), (0, 0), (4, 8)):
+        layout = LaneLayout([FrameList([chain, chain])])
+        assert layout.plan(1, 1, 4).worlds == 8
+        for frame, frames, width in ((-1, 1, 1), (0, 0, 1), (0, 1, 0),
+                                     (1, 2, 1), (2, 1, 1), (0, 3, 4)):
             with pytest.raises(ValueError):
-                layout.plan(first, count)
+                layout.plan(frame, frames, width)
 
 
 class TestCoordinateCodec:
@@ -580,6 +618,19 @@ class TestModelNumbering:
             with pytest.raises(ValueError, match="not the product"):
                 make([self.T2, self.K3], {1: 0b000111}, 0,
                      product([self.K3, self.T2]))
+
+    def test_plan_of_equal_sized_other_factors_rejected(self):
+        # the factors' sizes in their order, but not their relations: read
+        # through product([C2, T2]), [2]p1 fails at world 0 of T2 x C2 with
+        # p1 at world 1, where check_naive, reading the factors, holds it.
+        # A lane plan is the product of no factors, even of one frame each.
+        c2 = Frame1(2, [(0, 1)])
+        lane = LaneLayout([FrameList([self.T2]), FrameList([c2])]).plan(
+            0, 1, 1)
+        for plan in (product([c2, self.T2]), lane):
+            for make in (ProductModel.from_masks, ProductModel):
+                with pytest.raises(ValueError, match="not the product"):
+                    make([self.T2, c2], {1: 0b10}, 0, plan)
 
     def test_one_codec_per_model(self, monkeypatch):
         factors = [self.T2, self.K3]
@@ -786,8 +837,8 @@ class TestDifferential:
         block = {v: sum(val[v] << lane * n
                         for lane, val in enumerate(valuations))
                  for v in range(1, 4)}
-        plan = LaneLayout([FrameList([factor]) for factor in factors],
-                          len(valuations)).plan(0, len(valuations))
+        plan = LaneLayout([FrameList([factor]) for factor in factors]).plan(
+            0, 1, len(valuations))
         assert denoted(plan) == denoted(tiled(frame, len(valuations)))
         lanes = sat_mask(plan, block, f, {})
         assert lanes >> n * len(valuations) == 0

@@ -158,6 +158,14 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_countermodel(f, TT, SearchBudget(max_worlds_per_factor=0))
 
+    def test_zero_sampled_valuations_rejected(self, store):
+        # 3 variables at 3x3 is 27 bits, above the exhaustive cutoff, so
+        # the search samples there and must refuse to sample none; the
+        # smaller sizes, enumerated exhaustively, refute nothing
+        f = parse("p1 & p2 & p3 -> p1", 2, store)
+        with pytest.raises(ValueError, match="at least one valuation"):
+            search_countermodel(f, TT, SearchBudget(max_valuations=0))
+
     def test_exhaustive_mode_refuses_sampling(self, store):
         f = parse("p1 & p2", 2, store)
         oversized = SearchBudget(per_factor_max=(5, 4), exhaustive=True)

@@ -317,7 +317,7 @@ class TestLiftValuation:
         with_rung = lifted_coords(base, 1, DEFAULT_VARIANT)
         without = lifted_coords(
             base, 1,
-            VariantConfig(mark_first_rung=False, guards=()))
+            VariantConfig(mark_first_rung=False, shield=False))
         rung0 = {c for c in with_rung if gadgets[c[0]].rung == 0}
         assert rung0 and all(gadgets[c[0]].rung >= 1 for c in without)
 
@@ -387,7 +387,7 @@ class TestTransfer:
             transfer_countermodel(base, f, ctx)
 
     def test_miscalibrated_variant_fails_loudly(self, store):
-        plain = VariantConfig(marker_diamond="plain")
+        plain = VariantConfig(composite=False)
         f, ctx = make_ctx(store, "p1", plain)
         base = ProductModel.from_coords([REFLEXIVE_POINT, REFLEXIVE_POINT],
                                         {}, (0, 0))
@@ -460,7 +460,7 @@ class TestMarkerScans:
 
     def test_exactness_classifies_leaks(self, store):
         # without the shield conjunct the marker leaks at gadget roots
-        unshielded = VariantConfig(guards=())
+        unshielded = VariantConfig(shield=False)
         base, f, ctx = self.transferred(store, "p1", {}, unshielded)
         result = build_transfer(base, f, ctx)
         report = check_marker_exactness(result, ctx)
@@ -473,7 +473,7 @@ class TestMarkerScans:
     def test_leak_labels_name_the_first_coordinate(self, store):
         # three columns: the label of a leak comes from its first
         # coordinate, not from its world index
-        f, ctx = make_ctx(store, "p1", VariantConfig(guards=()))
+        f, ctx = make_ctx(store, "p1", VariantConfig(shield=False))
         column = Frame1(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
         base = ProductModel.from_coords([REFLEXIVE_CHAIN, column], {},
                                         (0, 0))

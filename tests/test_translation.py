@@ -8,18 +8,17 @@ from onevar.formulas import (FormulaStore, ModalityError, composite_dia,
                              dag_size, modal_depth, parse, render, sizes,
                              variables)
 from onevar.kripke import ProductModel, sat_set
-from onevar.translation import (COMPOSITE, DEFAULT_VARIANT,
-                                K_MODE_DEFAULT_VARIANT, MAX_VARIABLE_INDEX,
-                                PLAIN, VARIANT_GRID, ReservedVariableError,
-                                TranslationContext, VariantConfig,
-                                variant_by_name)
+from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
+                                MAX_VARIABLE_INDEX, VARIANT_GRID,
+                                ReservedVariableError, TranslationContext,
+                                VariantConfig, variant_by_name)
 from tests.test_formulas import random_formula
 from tests.test_kripke import label_names, ladder
 
 
 def plain_variant(**kw):
-    return VariantConfig(marker_diamond=PLAIN, mark_first_rung=False,
-                         guards=(), **kw)
+    return VariantConfig(composite=False, mark_first_rung=False,
+                         shield=False, **kw)
 
 
 def ctx_for(store, text, variant=DEFAULT_VARIANT, arity=2):
@@ -41,10 +40,6 @@ class TestVariants:
             assert variant_by_name(v.name) == v
         with pytest.raises(ValueError):
             variant_by_name("nope")
-
-    def test_unknown_guard_rejected(self):
-        with pytest.raises(ValueError):
-            VariantConfig(guards=("frobnicate",))
 
 
 class TestLadderProbe:
@@ -115,8 +110,8 @@ class TestVarMarker:
 
 class TestBaseMarker:
     def test_is_top_marker_without_guards(self, store):
-        variant = VariantConfig(marker_diamond=COMPOSITE,
-                                mark_first_rung=True, guards=())
+        variant = VariantConfig(composite=True, mark_first_rung=True,
+                                shield=False)
         ctx = TranslationContext(store, 2, 2, 0, variant)
         assert ctx.base_marker() is ctx.var_marker(3)
 
