@@ -25,9 +25,9 @@ the products of one frame per :class:`FrameList` as lanes, and builds the
 plan of a block of frames, each over the same lanes, from the same widened
 rows, each placed at the lanes of the frames that have it.
 :func:`check_naive` is an independent oracle: a top-down recursive
-evaluator, memoized per (node, world) within one call, that reads the
-factors, not the plan, kept deliberately separate so the two can be
-differenced against each other.
+evaluator, memoized within one call in one table per world keyed by the
+node, that reads the factors, not the plan, kept deliberately separate so
+the two can be differenced against each other.
 """
 
 from __future__ import annotations
@@ -313,8 +313,12 @@ class CoordinateCodec:
 
         Bit ``x`` becomes a run of ``strides[i]`` indices (see
         :func:`_runs`), and the block of ``sizes[i] * strides[i]`` indices
-        repeats by one product with a repunit, kept per coordinate.
+        repeats by one product with a repunit, kept per coordinate.  When
+        coordinate ``i`` has all the worlds, every other coordinate has one
+        value, so the mask, cut to the worlds, is its own widening.
         """
+        if self.sizes[i] == self.worlds:
+            return mask & (1 << self.worlds) - 1
         repeat = self._repeats[i]
         if repeat is None:
             period = self.sizes[i] * self.strides[i]
@@ -712,17 +716,21 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
     ``n`` worlds, bits ``l*n .. l*n + n - 1`` of every mask hold lane ``l``,
     so one call evaluates ``L`` (frame, valuation) pairs.
     ``var_masks`` maps variable indices to world masks; variables without an
-    entry are false everywhere.  ``cache`` maps formula uids to masks already
-    computed under the same plan and masks, and is filled in; pass ``{}``
-    for a one-off evaluation.
+    entry are false everywhere, and a mask with a bit at or above
+    ``plan.worlds`` (or a negative one) raises :class:`ValueError`, checked
+    once per variable.  So every mask a node gets lies inside ``full``, the
+    mask of all worlds, and ``full ^ mask`` is its complement.  ``cache``
+    maps formula uids to masks already computed under the same plan and
+    masks, and is filled in; pass ``{}`` for a one-off evaluation.
 
     The box step reads the plan: with ``outside`` the worlds where the body
     fails, ``[i]body`` fails at ``w`` exactly when some offset ``d`` of
     relation ``i`` has ``w`` among its sources and ``w + d`` outside, so
-    ``[i]body = full & ~OR_d(shift(outside, d) & sources_d)``: one shift and
-    one AND per offset, whatever the number of worlds.  A fan ``(w,
-    targets)`` of relation ``i`` fails ``w`` when ``outside & targets`` is
-    not empty: one AND per fan.
+    ``[i]body = full ^ OR_d(shift(outside, d) & sources_d)``: one shift and
+    one AND per offset, whatever the number of worlds.  An offset-0 row
+    whose sources are all worlds, as a reflexive factor has, costs one OR.
+    A fan ``(w, targets)`` of relation ``i`` fails ``w`` when ``outside &
+    targets`` is not empty: one AND per fan.
     """
     hit = cache.get(f.uid)
     if hit is not None:
@@ -736,24 +744,34 @@ def sat_mask(plan: ShiftPlan, var_masks: Mapping[int, int],
             mask = 0
         elif kind == VAR:
             mask = var_masks.get(node.idx, 0)
+            if mask >> plan.worlds:  # also true of a negative mask
+                raise ValueError(f"mask of variable {node.idx} has bits "
+                                 f"outside worlds 0..{plan.worlds - 1}")
         elif kind == AND:
             mask = cache[node.children[0].uid] & cache[node.children[1].uid]
         elif kind == OR:
             mask = cache[node.children[0].uid] | cache[node.children[1].uid]
         elif kind == IMP:
-            mask = (~cache[node.children[0].uid] | cache[node.children[1].uid]) & full
+            mask = full ^ cache[node.children[0].uid] | cache[node.children[1].uid]
         else:  # BOX
             if node.idx > plan.arity:
                 raise ModalityError(
                     f"box index {node.idx} exceeds frame arity {plan.arity}")
-            outside = full & ~cache[node.children[0].uid]
+            outside = full ^ cache[node.children[0].uid]
             failing = 0
             for d, sources in plan.steps[node.idx - 1]:
-                failing |= (outside >> d if d >= 0 else outside << -d) & sources
+                if d > 0:
+                    failing |= outside >> d & sources
+                elif d < 0:
+                    failing |= outside << -d & sources
+                elif sources == full:  # a reflexive relation's loops
+                    failing |= outside
+                else:
+                    failing |= outside & sources
             for w, targets in plan.fans[node.idx - 1]:
                 if outside & targets:
                     failing |= 1 << w
-            mask = full & ~failing
+            mask = full ^ failing
         cache[node.uid] = mask
     return cache[f.uid]
 
@@ -804,8 +822,9 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     as oracles for each other.  It reads the product definition off the
     factors, not the model's plan: box ``i`` at ``w`` visits the worlds that
     change coordinate ``i`` from ``c`` to each ``y`` with ``c -> y`` in
-    factor ``i``.  A memo local to the call, keyed by ``(node, w)`` with the
-    :class:`Formula` object itself as the node, holds only values this
+    factor ``i``, in increasing order of ``y``, and stops at the first
+    where the body fails.  A memo local to the call, one table per world
+    keyed by the :class:`Formula` object itself, holds only values this
     recursion computed, so a shared DAG costs at most its nodes times the
     worlds, not its expanded tree, and nothing of ``sat_mask`` leaks in.
     """
@@ -813,10 +832,11 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
         raise ValueError(f"unknown world {world}")
     masks, strides = model.masks, model.codec.strides
     factors = [(factor.worlds, factor.succ) for factor in model.factors]
-    memo: dict[tuple[Formula, int], bool] = {}
+    memo: list[dict[Formula, bool]] = [{} for _ in range(model.codec.worlds)]
 
     def ev(w: int, g: Formula) -> bool:
-        value = memo.get((g, w))
+        known = memo[w]
+        value = known.get(g)
         if value is not None:
             return value
         kind = g.kind
@@ -837,9 +857,13 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
             worlds, succ = factors[g.idx - 1]
             stride = strides[g.idx - 1]
             c = w // stride % worlds
-            value = all(ev(w + (y - c) * stride, g.children[0])
-                        for y in succ[c])
-        memo[g, w] = value
+            body = g.children[0]
+            value = True
+            for y in succ[c]:
+                if not ev(w + (y - c) * stride, body):
+                    value = False
+                    break
+        known[g] = value
         return value
 
     return ev(world, f)

@@ -761,6 +761,18 @@ class TestTruth:
             with pytest.raises(ValueError):
                 ProductModel.from_masks([chain], {1: bad}, 0)
 
+    def test_sat_mask_rejects_stray_bits(self, store):
+        # sat_mask complements by XOR with the mask of all worlds, so a
+        # variable mask outside the worlds must be refused, not evaluated;
+        # a variable the formula does not read is not checked
+        plan = product([Frame1(3, [(0, 1), (1, 2)])])
+        f = store.imp(store.var(1), store.box(1, store.var(2)))
+        assert sat_mask(plan, {1: 0b101, 2: 0b111, 3: -1}, f, {}) == 0b111
+        for bad in (-1, 1 << 3, 0b1001, -(1 << 3)):
+            for masks in ({1: bad}, {1: 0, 2: bad}):
+                with pytest.raises(ValueError, match="outside worlds"):
+                    sat_mask(plan, masks, f, {})
+
 
 class TestDifferential:
     def test_sat_set_agrees_with_naive(self):
@@ -886,6 +898,90 @@ class TestDifferential:
             assert got == outcome(naive_reference, model, w, f)
             if mask is not None:
                 assert got == bool(mask >> w & 1)
+
+    @staticmethod
+    def lanes_agree_with_naive(plan, lanes, f):
+        """``sat_mask`` over ``plan`` agrees with ``check_naive`` at every
+        world of every lane, and every node mask it caches lies inside the
+        plan's worlds.  ``lanes`` lists, per lane of ``n`` worlds in order,
+        the lane's factors and its valuation masks; the masks passed to
+        ``sat_mask`` put lane ``l`` at bits ``l*n ..``."""
+        n = plan.worlds // len(lanes)
+        block = {var: sum(masks[var] << lane * n
+                          for lane, (_, masks) in enumerate(lanes))
+                 for var in lanes[0][1]}
+        cache = {}
+        got = sat_mask(plan, block, f, cache)
+        assert all(0 <= mask < 1 << plan.worlds for mask in cache.values())
+        for lane, (factors, masks) in enumerate(lanes):
+            model = ProductModel.from_masks(factors, masks, 0)
+            for w in range(n):
+                assert (got >> lane * n + w & 1 == 1) == \
+                    check_naive(model, w, f)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_reflexive_rows_agree_with_naive(self, data):
+        # a reflexive factor's loops are an offset-0 row of all worlds,
+        # which the box step takes with one OR and no AND: in product()
+        # plans and in lane plans of several reflexive frames
+        arity = data.draw(st.integers(1, 3))
+        lists = []
+        for _ in range(arity):
+            n = data.draw(st.integers(1, 3))
+            cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+            lists.append(FrameList(
+                Frame1(n, [(w, w) for w in range(n)]
+                       + data.draw(st.lists(st.sampled_from(cells))
+                                   if cells else st.just([])))
+                for _ in range(data.draw(st.integers(1, 2)))))
+        layout = LaneLayout(lists)
+        n = layout.codec.worlds
+        width = data.draw(st.integers(1, 4))
+        valuations = [{v: data.draw(st.integers(0, (1 << n) - 1))
+                       for v in range(1, 4)} for _ in range(width)]
+        f = random_formula(FormulaStore(),
+                           random.Random(data.draw(st.integers())),
+                           arity=arity, depth=4, size=16)
+        factors = layout.factors(0)
+        plan = product(factors)
+        full = (1 << plan.worlds) - 1
+        assert all((0, full) in row for row in plan.steps)
+        self.lanes_agree_with_naive(plan, [(factors, valuations[0])], f)
+        plan = layout.plan(0, layout.frames, width)
+        full = (1 << plan.worlds) - 1
+        assert all((0, full) in row for row in plan.steps)
+        self.lanes_agree_with_naive(
+            plan, [(layout.factors(k), valuation)
+                   for k in range(layout.frames) for valuation in valuations],
+            f)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_fanned_factor_agrees_with_naive(self, data):
+        # a factor with at least FAN_MIN_ROWS offset rows, most of them a
+        # single entry edge from world 0, as a gadget factor has: product()
+        # fans world 0 and keeps the other rows, with or without loops
+        m = data.draw(st.integers(onevar.kripke.FAN_MIN_ROWS + 1, 24))
+        world = st.integers(0, m - 1)
+        edges = [(0, x) for x in range(1, m)]
+        edges += data.draw(st.lists(st.tuples(world, world), max_size=6))
+        if data.draw(st.booleans()):
+            edges += [(w, w) for w in range(m)]
+        gadget = Frame1(m, edges)
+        assert len(gadget.offsets) >= onevar.kripke.FAN_MIN_ROWS
+        other = Frame1(2, data.draw(st.lists(st.sampled_from(
+            [(0, 0), (0, 1), (1, 0), (1, 1)]), unique=True)))
+        factors = [gadget, other] if data.draw(st.booleans()) \
+            else [other, gadget]
+        plan = product(factors)
+        assert any(plan.fans)
+        masks = {v: data.draw(st.integers(0, (1 << plan.worlds) - 1))
+                 for v in range(1, 4)}
+        f = random_formula(FormulaStore(),
+                           random.Random(data.draw(st.integers())),
+                           arity=2, depth=4, size=16)
+        self.lanes_agree_with_naive(plan, [(factors, masks)], f)
 
     def test_box_above_arity_raises_in_both_evaluators(self, store):
         chain = Frame1(2, [(0, 0), (1, 1), (0, 1)])

@@ -7,12 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import onevar.search
 from onevar.formulas import FormulaStore, parse
-from onevar.kripke import Frame1, check_naive
+from onevar.kripke import Frame1, check_naive, product
 from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS,
                            REFUTABLE_CORPUS, VALID_CORPUS_TT,
                            FactorClass, NoPassingVariant, SearchBudget,
-                           calibrate_variants, differential_suite,
+                           _search, calibrate_variants, differential_suite,
                            enumerate_frames, find_all_countermodels,
                            is_member, random_formula, search_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
@@ -300,6 +301,44 @@ class TestSearch:
                                             exhaustive=True))
         assert out.found
         assert out.stats == {"models-checked": 1773, "frames-checked": 147}
+
+    def test_one_plan_per_run_of_witness_frames(self, store, monkeypatch):
+        # a frame's refuting lanes come out one after another, so the
+        # search builds one product() plan per run of witnesses from the
+        # same frame and shares it; the models, in order, and both counters
+        # are those of a plan per witness
+        calls = []
+
+        def counted(factors):
+            calls.append(tuple(factors))
+            return product(factors)
+
+        monkeypatch.setattr(onevar.search, "product", counted)
+        source = parse("F", 2, store)
+        reduced = TranslationContext.for_formula(
+            store, source, 2, DEFAULT_VARIANT).reduce(source)
+        for f, limits, count, runs, digest, stats in (
+                (parse("p1 & p2 -> [1](p1 & p2)", 2, store), (2, 2), 1332,
+                 15, "97c49d516463b599",
+                 {"models-checked": 4228, "frames-checked": 25}),
+                (reduced, (4, 1), 384, 324, "1c77d2a084a9b5c3",
+                 {"models-checked": 66066, "frames-checked": 4165})):
+            budget = SearchBudget(per_factor_max=limits)
+            calls.clear()
+            found, status = find_all_countermodels(f, TT, budget)
+            assert status == "none-within-bounds"
+            assert len(found) == count
+            doc = json.dumps([m.to_json() for m in found]).encode()
+            assert hashlib.sha256(doc).hexdigest().startswith(digest)
+            starts = [m for i, m in enumerate(found)
+                      if i == 0 or found[i - 1].factors != m.factors]
+            assert len(starts) == len(calls) == runs
+            assert calls == [m.factors for m in starts]
+            for before, model in zip(found, found[1:]):
+                assert (model.frame is before.frame) == \
+                    (model.factors == before.factors)
+            assert _search(f, TT, budget, lambda model: False) == (
+                "none-within-bounds", stats)
 
     def test_find_all_collects_every_model(self, store):
         f = parse("p1", 2, store)
