@@ -7,10 +7,12 @@ diamonds are derived: ``~f`` abbreviates ``f -> F`` and ``<i>f`` abbreviates
 index k >= 1 prints as ``pK``.
 
 Every formula lives in a :class:`FormulaStore` that interns nodes, so two
-structurally equal terms built in the same store are the same object, and the
-per-node metrics (modal depth, variable set, tree size) are computed once at
-interning time.  The expanded tree can be exponentially larger than the
-interned DAG; ``tree_size`` is a number, never a materialized tree.
+structurally equal terms built in the same store are the same object.  A node
+is keyed by its kind, its index and its children's uids, and its metrics
+(modal depth, variable set, tree size) are computed once at interning time
+from its children's, never by walking the subtree.  The expanded tree can be
+exponentially larger than the interned DAG; ``tree_size`` is a number, never
+a materialized tree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ IMP = "imp"
 BOX = "box"
 
 _BINARY = (AND, OR, IMP)
+
+_BOT_KEY = (BOT,)  # the interning key of falsum
 
 
 class ParseError(ValueError):
@@ -66,9 +70,18 @@ class Formula:
 class FormulaStore:
     """Append-only interning table for formulas.
 
+    Each constructor keys its node by arity: ``(BOT,)`` for falsum,
+    ``(VAR, i)`` for variable ``i``, ``(BOX, i, body.uid)`` for ``[i]body`` and
+    ``(kind, left.uid, right.uid)`` for ``&``, ``|`` and ``->``.  A new node
+    takes its metrics from its children: depth is the larger child depth (one
+    more than the body's under a box), ``tree_size`` is one plus the
+    children's, a box shares its body's ``var_set`` and a binary node shares
+    a child's when that set holds the other child's.  Uids count nodes in
+    creation order.
+
     A store is a unit of confinement: formulas from different stores must not
-    be mixed, and the constructors reject foreign children.  Nodes are
-    immutable once interned.
+    be mixed, and the constructors reject foreign children with
+    ``ValueError``.  Nodes are immutable once interned.
     """
 
     def __init__(self) -> None:
@@ -78,67 +91,84 @@ class FormulaStore:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _check_owned(self, f: Formula) -> None:
-        nodes = self._nodes
-        if not (0 <= f.uid < len(nodes)) or nodes[f.uid] is not f:
-            raise ValueError("formula belongs to a different store")
-
-    def _intern(self, kind: str, idx: int, children: tuple) -> Formula:
-        key = (kind, idx, tuple(c.uid for c in children))
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit
+    def _add(self, key: tuple, kind: str, idx: int, children: tuple,
+             depth: int, tree_size: int, var_set: frozenset) -> Formula:
         node = Formula.__new__(Formula)
         node.kind = kind
         node.idx = idx
         node.children = children
         node.uid = len(self._nodes)
-        if kind == BOX:
-            node.depth = 1 + children[0].depth
-        elif children:
-            node.depth = max(c.depth for c in children)
-        else:
-            node.depth = 0
-        node.tree_size = 1 + sum(c.tree_size for c in children)
-        if kind == VAR:
-            node.var_set = frozenset((idx,))
-        elif children:
-            node.var_set = frozenset().union(*(c.var_set for c in children))
-        else:
-            node.var_set = frozenset()
+        node.depth = depth
+        node.tree_size = tree_size
+        node.var_set = var_set
         node._postorder = None  # computed lazily by postorder()
         self._table[key] = node
         self._nodes.append(node)
         return node
 
     def bottom(self) -> Formula:
-        return self._intern(BOT, 0, ())
+        node = self._table.get(_BOT_KEY)
+        if node is None:
+            node = self._add(_BOT_KEY, BOT, 0, (), 0, 1, frozenset())
+        return node
 
     def var(self, index: int) -> Formula:
         if index < 0:
             raise ValueError(f"variable index must be >= 0, got {index}")
-        return self._intern(VAR, index, ())
+        key = (VAR, index)
+        node = self._table.get(key)
+        if node is None:
+            node = self._add(key, VAR, index, (), 0, 1, frozenset((index,)))
+        return node
+
+    def _binary(self, kind: str, left: Formula, right: Formula) -> Formula:
+        nodes = self._nodes
+        count = len(nodes)
+        lu = left.uid
+        ru = right.uid
+        if not (0 <= lu < count and nodes[lu] is left
+                and 0 <= ru < count and nodes[ru] is right):
+            raise ValueError("formula belongs to a different store")
+        key = (kind, lu, ru)
+        node = self._table.get(key)
+        if node is None:
+            lvars = left.var_set
+            rvars = right.var_set
+            if lvars is rvars or rvars <= lvars:
+                var_set = lvars
+            elif lvars <= rvars:
+                var_set = rvars
+            else:
+                var_set = lvars | rvars
+            ld = left.depth
+            rd = right.depth
+            node = self._add(key, kind, 0, (left, right),
+                             ld if ld >= rd else rd,
+                             1 + left.tree_size + right.tree_size, var_set)
+        return node
 
     def and_(self, left: Formula, right: Formula) -> Formula:
-        self._check_owned(left)
-        self._check_owned(right)
-        return self._intern(AND, 0, (left, right))
+        return self._binary(AND, left, right)
 
     def or_(self, left: Formula, right: Formula) -> Formula:
-        self._check_owned(left)
-        self._check_owned(right)
-        return self._intern(OR, 0, (left, right))
+        return self._binary(OR, left, right)
 
     def imp(self, left: Formula, right: Formula) -> Formula:
-        self._check_owned(left)
-        self._check_owned(right)
-        return self._intern(IMP, 0, (left, right))
+        return self._binary(IMP, left, right)
 
     def box(self, modality: int, body: Formula) -> Formula:
         if modality < 1:
             raise ModalityError(f"box index must be >= 1, got {modality}")
-        self._check_owned(body)
-        return self._intern(BOX, modality, (body,))
+        nodes = self._nodes
+        uid = body.uid
+        if not (0 <= uid < len(nodes) and nodes[uid] is body):
+            raise ValueError("formula belongs to a different store")
+        key = (BOX, modality, uid)
+        node = self._table.get(key)
+        if node is None:
+            node = self._add(key, BOX, modality, (body,), 1 + body.depth,
+                             1 + body.tree_size, body.var_set)
+        return node
 
     # Derived connectives: builder sugar, not distinct node kinds.
 

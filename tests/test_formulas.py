@@ -1,14 +1,18 @@
 """Formula core: interning, parsing, printing, metrics, defined modalities."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onevar import search
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
                              box_upto, composite_dia, dag_listing, dag_size,
                              dia_upto, modal_depth, parse, postorder, render,
                              sizes, variables)
+from onevar.search import CALIBRATION_CORPUS
+from onevar.translation import VARIANT_GRID, TranslationContext
 
 # ---------------------------------------------------------------------------
 # independent oracles: plain recursions that never touch the cached metrics
@@ -75,6 +79,30 @@ def random_formula(store, rng, arity=2, max_var=3, depth=3, size=10):
     right = random_formula(store, rng, arity, max_var, depth, size // 2)
     return getattr(store, {"and": "and_", "or": "or_", "imp": "imp"}[kind])(
         left, right)
+
+
+def constructor_corpus(store):
+    """Seeded random DAGs at arities 2 and 3, then the reduction and the
+    uniform guard of every calibration formula under every variant, all
+    built in ``store``; the roots, in build order."""
+    roots = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for arity in (2, 3):
+            roots += [search.random_formula(store, rng, arity, 3, 3)
+                      for _ in range(40)]
+    for variant in VARIANT_GRID:
+        for text in CALIBRATION_CORPUS:
+            f = parse(text, 2, store)
+            ctx = TranslationContext.for_formula(store, f, 2, variant)
+            roots += [ctx.reduce(f), ctx.uniform_guard()]
+    return roots
+
+
+# the store size and creation-order digest of constructor_corpus()
+CONSTRUCTOR_CORPUS_NODES = 1123
+CONSTRUCTOR_CORPUS_DIGEST = (
+    "3dc799b8839b140f65a9c05fe2f3ed8b867745e7823a8d026d011b408fe1611f")
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +200,24 @@ class TestInterning:
         assert a is b
 
     def test_foreign_nodes_rejected(self, store):
+        own = store.var(1)
         other = FormulaStore()
-        with pytest.raises(ValueError):
-            store.box(1, other.var(1))
+        same_uid = other.var(1)  # uid 0, as ``own``
+        past_end = other.box(1, other.box(2, other.var(2)))
+        assert same_uid.uid == own.uid and past_end.uid >= len(store)
+        builders = (
+            lambda x: store.and_(own, x), lambda x: store.and_(x, own),
+            lambda x: store.or_(own, x), lambda x: store.or_(x, own),
+            lambda x: store.imp(own, x), lambda x: store.imp(x, own),
+            lambda x: store.box(1, x),
+            # derived connectives, through the constructors above
+            store.not_, lambda x: store.dia(2, x),
+            lambda x: store.conj([own, x]), lambda x: store.conj([x, own]),
+        )
+        for build in builders:
+            for foreign in (same_uid, past_end):
+                with pytest.raises(ValueError, match="different store"):
+                    build(foreign)
 
     @settings(max_examples=200, derandomize=True)
     @given(seed_a=st.integers(0, 10**6), seed_b=st.integers(0, 10**6))
@@ -192,6 +235,37 @@ class TestInterning:
             assert f.tree_size == naive_tree_size(f)
             assert variables(f) == frozenset(naive_vars(f))
             assert dag_size(f) == naive_dag_size(f)
+
+    def test_constructor_metrics_on_reductions(self):
+        store = FormulaStore()
+        roots = constructor_corpus(store)
+        # metrics recomputed node by node from the children's, never read
+        # from a child: ``want`` maps uid -> (depth, tree_size, var_set)
+        want: dict[int, tuple] = {}
+        for root in roots:
+            for node in postorder(root):
+                if node.uid in want:
+                    continue
+                kids = [want[c.uid] for c in node.children]
+                depth = max((k[0] for k in kids), default=0)
+                if node.kind == "box":
+                    depth += 1
+                var_set = (frozenset((node.idx,)) if node.kind == "var" else
+                           frozenset().union(*(k[2] for k in kids)))
+                want[node.uid] = (depth, 1 + sum(k[1] for k in kids), var_set)
+                assert (node.depth, node.tree_size, node.var_set) == \
+                    want[node.uid], render(node)
+        # the table as built, in creation order: a change in sharing or in
+        # the order of creation moves these pins
+        nodes = sorted({node.uid: node for root in roots
+                        for node in postorder(root)}.values(),
+                       key=lambda node: node.uid)
+        listing = "\n".join(
+            f"{n.uid} {n.kind} {n.idx} {[c.uid for c in n.children]}"
+            for n in nodes)
+        assert len(store) == CONSTRUCTOR_CORPUS_NODES
+        assert hashlib.sha256(listing.encode()).hexdigest() == \
+            CONSTRUCTOR_CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------------------
