@@ -17,7 +17,7 @@ import time
 
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
                              dag_listing, modal_depth, parse, render, sizes)
-from onevar.kripke import ModelFormatError, ProductModel, sat_set
+from onevar.kripke import ModelFormatError, ProductModel, check, sat_set
 from onevar.search import (CALIBRATION_CORPUS, CheckerDisagreement,
                            FactorClass, NoPassingVariant, SearchBudget,
                            calibrate_variants, differential_suite,
@@ -131,12 +131,12 @@ def cmd_check(args) -> int:
     store = FormulaStore()
     model = _load_model(args.model)
     f = parse(args.formula, len(model.factors), store)
-    sat = sat_set(model, f)
-    verdict = model.point in sat
+    verdict = check(model, model.point, f)
     payload = {"verdict": verdict,
                "point": list(model.coords_of(model.point))}
     if args.sat_set:
-        payload["sat_set"] = sorted(list(model.coords_of(w)) for w in sat)
+        payload["sat_set"] = sorted(list(model.coords_of(w))
+                                    for w in sat_set(model, f))
     _emit(args, payload, f"formula is {str(verdict).lower()} at the point")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 

@@ -26,8 +26,6 @@ OR = "or"
 IMP = "imp"
 BOX = "box"
 
-_BINARY = (AND, OR, IMP)
-
 _BOT_KEY = (BOT,)  # the interning key of falsum
 
 
@@ -266,6 +264,8 @@ def box_upto(store: FormulaStore, dims: Collection[int], k: int,
     """
     if k < 0:
         raise ValueError("level must be >= 0")
+    if k == 0:
+        return f
     boxes = sorted(set(dims))
     g = f
     for _ in range(k):

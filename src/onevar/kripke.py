@@ -15,7 +15,7 @@ using bitmask world sets; it needs only a :class:`ShiftPlan` and one world
 mask per variable.  The plan groups each relation's edges ``w -> y`` by
 their offset ``d = y - w``, so the box step costs a few big-integer shifts
 per distinct offset instead of a loop over the worlds.  Where a factor has
-many offsets with few sources each, as a gadget factor has, the plan lists
+many offsets with one source each, as a gadget factor has, the plan lists
 the edges of those sources as fans instead, one successor mask per source
 world, and a fan costs one AND.  Offsets survive disjoint copies of a
 frame, so one pass over the plan of many copies evaluates one valuation per
@@ -361,14 +361,12 @@ def _split_fans(offsets: tuple[tuple[int, int], ...], stride: int,
     """
     if len(offsets) < FAN_MIN_ROWS:
         return offsets, {}
-    ranked = sorted(offsets, key=lambda row: row[1].bit_count())
-    best, fanned, worlds = len(offsets), 0, 0
-    for j, (_, sources) in enumerate(ranked, start=1):
-        worlds |= sources
-        cost = len(offsets) - j + worlds.bit_count() * copies
-        if cost < best:
-            best, fanned = cost, worlds
-    if 2 * best > len(offsets):
+    fanned = 0
+    for _, sources in offsets:
+        if sources & sources - 1 == 0:  # one source
+            fanned |= sources
+    kept = sum(1 for _, sources in offsets if sources & ~fanned)
+    if 2 * (kept + fanned.bit_count() * copies) > len(offsets):
         return offsets, {}
     rows, targets = [], {}
     for d, sources in offsets:
@@ -396,15 +394,14 @@ def product(factors: Sequence[Frame1]) -> ShiftPlan:
     each product world ``w`` whose coordinate ``i`` is a fanned world ``x``
     gets a fan of all its successors (the factor's successors of ``x``
     spread by the stride and shifted to ``w``'s column), and the rows keep
-    the other sources.  The rule: a kept row costs one shift per box step,
-    and a fanned factor world one AND per product world with that
-    coordinate.  Of the prefixes of the factor's rows sorted by source
-    count, the one whose sources cost least to fan wins (the shortest among
-    equals).  It is used only when it at least halves the factor's
-    operations, and only for a factor of at least :data:`FAN_MIN_ROWS`
-    offset rows, so that small factors do not pay for the ranking: a frame
-    of ``n`` worlds has at most ``2n - 1`` offsets, so factors of 8 worlds
-    or fewer never fan.
+    the other sources.  The rule: the fanned worlds are those that are the
+    only source of some offset row.  A kept row costs one shift per box
+    step, and a fanned factor world one AND per product world with that
+    coordinate; the split is used only when it at least halves the
+    factor's operations, and only for a factor of at least
+    :data:`FAN_MIN_ROWS` offset rows, so that small factors do not pay for
+    the scan: a frame of ``n`` worlds has at most ``2n - 1`` offsets, so
+    factors of 8 worlds or fewer never fan.
     """
     factors = tuple(factors)
     if not factors:

@@ -15,11 +15,7 @@ a block's shift plan checks up to ``2**BLOCK_BITS`` lanes.  The search
 names each block's frames: whole frames while a frame's valuations fit in
 a block, one frame beyond that.  Every countermodel the search returns
 has been re-checked with the independent naive evaluator, so a result is
-never an artifact of the bitmask checker.  A frame's witnesses come out
-one after another and share one product plan.  The re-check is memoized
-in one table per world; on the benchmark's reduction sweep (768 witnesses
-of 28- to 63-node DAGs per pass) it takes about a quarter of a pass, some
-two thirds of what extracting the same witnesses takes.
+never an artifact of the bitmask checker.
 """
 
 from __future__ import annotations
@@ -162,7 +158,7 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-def _size_vectors(arity: int, limits: list[int]) -> list[tuple[int, ...]]:
+def _size_vectors(limits: list[int]) -> list[tuple[int, ...]]:
     vectors = itertools.product(*(range(1, lim + 1) for lim in limits))
     return sorted(vectors, key=lambda v: (sum(v), v))
 
@@ -262,10 +258,11 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
             on_found: Callable[[ProductModel], bool]) -> tuple[str, dict]:
     """Core enumeration; calls ``on_found`` with each verified countermodel.
 
-    ``on_found`` returns True to stop the search.  Returns the final status
-    (ignoring finds; the caller tracks those) and statistics, both counters
-    read off the lane index.  (frame, valuation) lanes are evaluated a
-    block at a time; a model is built only for a refutation.  Refutations
+    ``on_found`` returns True to stop the search.  Returns the final status,
+    :data:`FOUND` when ``on_found`` stopped the search, and statistics, both
+    counters read off the lane index.  (frame, valuation) lanes are
+    evaluated a block at a time; a model is built only for a refutation,
+    with a :func:`product` plan of its own.  Refutations
     are taken lowest lane (frame, then valuation) first and, per lane, at
     the lowest refuting world, as a one-model-at-a-time sweep meets them.
     """
@@ -293,7 +290,7 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
         stats["frames-checked"] = frames + -(-lanes // per_frame)
 
     complete = True
-    for sizes in _size_vectors(arity, limits):
+    for sizes in _size_vectors(limits):
         n = math.prod(sizes)
         lane_bits = (1 << n) - 1
         if n * len(var_list) <= EXHAUSTIVE_VALUATION_BITS:
@@ -305,9 +302,6 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
         layout = LaneLayout([_frame_list(cls, s)
                              for cls, s in zip(classes, sizes)])
         models, frames = stats["models-checked"], stats["frames-checked"]
-        # a frame's refuting lanes come out one after another, so its
-        # witnesses share one product() plan, built at its first
-        planned, frame_plan = -1, None
         for frame, count, width, first, masks in _lane_blocks(
                 layout.frames, valuations, n):
             if deadline is not None and time.monotonic() > deadline:
@@ -320,9 +314,7 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
                     (refuting & -refuting).bit_length() - 1, n)
                 start = lane * n
                 checked(first + lane + 1)
-                if frame + lane // width != planned:
-                    planned = frame + lane // width
-                    frame_plan = product(layout.factors(planned))
+                frame_plan = product(layout.factors(frame + lane // width))
                 witness = ProductModel.from_masks(
                     frame_plan.factors,
                     {var: mask >> start & lane_bits
@@ -350,16 +342,10 @@ def search_countermodel(f: Formula, classes: Sequence[FactorClass],
     """First countermodel of ``f`` over products of the given classes, in
     deterministic enumeration order, or a certificate that none exists
     within fully exhausted bounds."""
-    box: list[ProductModel] = []
-
-    def stop(model: ProductModel) -> bool:
-        box.append(model)
-        return True
-
-    status, stats = _search(f, classes, budget, stop)
-    if box:
-        return SearchOutcome(FOUND, box[0], stats)
-    return SearchOutcome(status, None, stats)
+    found: list[ProductModel] = []
+    status, stats = _search(f, classes, budget,
+                            lambda model: found.append(model) or True)
+    return SearchOutcome(status, found[0] if found else None, stats)
 
 
 def find_all_countermodels(f: Formula, classes: Sequence[FactorClass],
@@ -368,12 +354,8 @@ def find_all_countermodels(f: Formula, classes: Sequence[FactorClass],
     """All countermodels within bounds (one refuting point per model), and
     the completion status of the sweep."""
     found: list[ProductModel] = []
-
-    def collect(model: ProductModel) -> bool:
-        found.append(model)
-        return False
-
-    status, _ = _search(f, classes, budget, collect)
+    status, _ = _search(f, classes, budget,
+                        lambda model: found.append(model) or False)
     return found, status
 
 

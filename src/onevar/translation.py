@@ -88,6 +88,9 @@ def variant_by_name(name: str) -> VariantConfig:
 # The reduction has about 8 DAG nodes per unit of the largest variable index,
 # so the index is capped before any of it is built
 MAX_VARIABLE_INDEX = 4096
+# The guard boxes over every modality at each level, so its DAG grows with
+# the arity times the depth; the arity is capped the same way
+MAX_ARITY = 4096
 
 
 class TranslationContext:
@@ -97,13 +100,16 @@ class TranslationContext:
     extra marker has index ``var_limit + 1``), and ``depth`` is the source
     formula's modal depth, fixed before lowering because the guard's bounded
     modalities depend on it.  All emitted formulas use only variable index 0.
-    A ``var_limit`` above :data:`MAX_VARIABLE_INDEX` raises ``ValueError``.
+    A ``var_limit`` above :data:`MAX_VARIABLE_INDEX` and an ``arity`` above
+    :data:`MAX_ARITY` raise ``ValueError``.
     """
 
     def __init__(self, store: FormulaStore, arity: int, var_limit: int,
                  depth: int, variant: VariantConfig = DEFAULT_VARIANT):
         if arity < 1:
             raise ValueError("arity must be >= 1")
+        if arity > MAX_ARITY:
+            raise ValueError(f"arity {arity} is above the cap of {MAX_ARITY}")
         if var_limit < 0:
             raise ValueError("variable limit must be >= 0")
         if var_limit > MAX_VARIABLE_INDEX:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import onevar.cli
 from onevar.cli import main
 
 BOT_MODEL = {
@@ -105,6 +106,16 @@ class TestTranslate:
         assert err.splitlines() == [
             f"error: variable index {text[1:]} is above the cap of 4096"]
 
+    @pytest.mark.parametrize("command", [("translate", "p1"), ("bench",)],
+                             ids=["translate", "bench"])
+    def test_arity_above_cap_exits_2(self, capsys, command):
+        # a depth-0 guard used to list every modality index, so a large
+        # --arity ran until the process was killed for memory
+        code, out, err = run(capsys, *command, "--arity", "4097")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: arity 4097 is above the cap of 4096"]
+
     @pytest.mark.parametrize("text", ["~" * 1500 + "p1",
                                       "(" * 1500 + "p1" + ")" * 1500],
                              ids=["negations", "parentheses"])
@@ -136,6 +147,16 @@ class TestCheck:
                            "p1 | ~p1")
         assert code == 0
         assert json.loads(out)["verdict"] is True
+
+    def test_verdict_reads_one_world(self, capsys, model_file, monkeypatch):
+        # only --sat-set lists the satisfying worlds; the verdict is one bit
+        def listed(model, f):
+            raise AssertionError("check listed the satisfying worlds")
+
+        monkeypatch.setattr(onevar.cli, "sat_set", listed)
+        code, out, _ = run(capsys, "check", model_file(CHAIN_MODEL), "p1")
+        assert code == 0
+        assert json.loads(out) == {"verdict": True, "point": [0, 0]}
 
     def test_sat_set_matches_flagged_output(self, capsys, model_file):
         code, out, _ = run(capsys, "check", model_file(CHAIN_MODEL), "p1",

@@ -297,12 +297,22 @@ class TestMetrics:
 # ---------------------------------------------------------------------------
 
 
+class UnreadModalities:
+    """Modality indices that must not be read: level 0 needs none of them,
+    and a guard at a large arity would list them all."""
+
+    def __iter__(self):
+        raise AssertionError("level 0 read its modalities")
+
+
 class TestDefinedModalities:
     def test_level_zero_is_identity(self, store):
         psi = store.var(1)
         assert box_upto(store, (1, 2), 0, psi) is psi
         assert dia_upto(store, (1, 2), 0, psi) is psi
         assert box_upto(store, (2,), 0, psi) is psi
+        assert box_upto(store, UnreadModalities(), 0, psi) is psi
+        assert dia_upto(store, UnreadModalities(), 0, psi) is psi
 
     def test_rest_level_one(self, store):
         psi = store.var(1)

@@ -302,11 +302,10 @@ class TestSearch:
         assert out.found
         assert out.stats == {"models-checked": 1773, "frames-checked": 147}
 
-    def test_one_plan_per_run_of_witness_frames(self, store, monkeypatch):
-        # a frame's refuting lanes come out one after another, so the
-        # search builds one product() plan per run of witnesses from the
-        # same frame and shares it; the models, in order, and both counters
-        # are those of a plan per witness
+    def test_one_plan_per_witness(self, store, monkeypatch):
+        # the search builds one product() plan per witness, of the
+        # witness's own factors, and the model holds it; the models, in
+        # order, and both counters are pinned
         calls = []
 
         def counted(factors):
@@ -317,26 +316,21 @@ class TestSearch:
         source = parse("F", 2, store)
         reduced = TranslationContext.for_formula(
             store, source, 2, DEFAULT_VARIANT).reduce(source)
-        for f, limits, count, runs, digest, stats in (
+        for f, limits, count, digest, stats in (
                 (parse("p1 & p2 -> [1](p1 & p2)", 2, store), (2, 2), 1332,
-                 15, "97c49d516463b599",
+                 "97c49d516463b599",
                  {"models-checked": 4228, "frames-checked": 25}),
-                (reduced, (4, 1), 384, 324, "1c77d2a084a9b5c3",
+                (reduced, (4, 1), 384, "1c77d2a084a9b5c3",
                  {"models-checked": 66066, "frames-checked": 4165})):
             budget = SearchBudget(per_factor_max=limits)
             calls.clear()
             found, status = find_all_countermodels(f, TT, budget)
             assert status == "none-within-bounds"
-            assert len(found) == count
+            assert len(found) == len(calls) == count
             doc = json.dumps([m.to_json() for m in found]).encode()
             assert hashlib.sha256(doc).hexdigest().startswith(digest)
-            starts = [m for i, m in enumerate(found)
-                      if i == 0 or found[i - 1].factors != m.factors]
-            assert len(starts) == len(calls) == runs
-            assert calls == [m.factors for m in starts]
-            for before, model in zip(found, found[1:]):
-                assert (model.frame is before.frame) == \
-                    (model.factors == before.factors)
+            assert calls == [m.factors for m in found]
+            assert len({id(m.frame) for m in found}) == count
             assert _search(f, TT, budget, lambda model: False) == (
                 "none-within-bounds", stats)
 

@@ -100,10 +100,10 @@ def test_every_import_is_used():
     assert found == []
 
 
-def test_every_public_definition_is_used():
-    # a public top-level function or class that neither the package nor
-    # the benchmark reads serves only the tests, and belongs in them;
-    # __init__.py only re-exports
+def _names_read_and_defined():
+    """The names the package and the benchmark read, and the package's
+    module-level definitions as ``(module, name, node)``; ``__init__.py``
+    only re-exports, so its reads do not count."""
     package = sorted((ROOT / "src" / "onevar").glob("*.py"))
     read, defined = set(), []
     for path in package + sorted((ROOT / "perfbench").glob("*.py")):
@@ -115,11 +115,35 @@ def test_every_public_definition_is_used():
             read |= {node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute)}
         if path in package:
-            defined += [(path.name, node.name) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")]
-    assert [f"{module} {name}" for module, name in defined
-            if name not in read] == []
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.name, node.name, node))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    defined += [(path.name, name.id, node)
+                                for target in targets
+                                for name in ast.walk(target)
+                                if isinstance(name, ast.Name)]
+    return read, defined
+
+
+def test_every_public_definition_is_used():
+    # a public top-level function or class that neither the package nor
+    # the benchmark reads serves only the tests, and belongs in them
+    read, defined = _names_read_and_defined()
+    assert [f"{module} {name}" for module, name, node in defined
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not name.startswith("_") and name not in read] == []
+
+
+def test_every_private_name_is_read():
+    # a private module-level function, class or assigned name that neither
+    # the package nor the benchmark reads is dead code
+    read, defined = _names_read_and_defined()
+    assert [f"{module} {name}" for module, name, _ in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read] == []
 
 
 def test_perfbench_tracer_binds(monkeypatch):

@@ -224,6 +224,37 @@ class TestFannedGadgetProducts:
             for i in (1, 2):
                 assert relation(plan, i) == definition(factors, i)
 
+    @pytest.mark.parametrize("complete, base, columns, fans_from", [
+        (False, 3, 3, 6), (False, 3, 4, 8), (False, 4, 3, 6), (False, 4, 4, 8),
+        (True, 3, 3, 5), (True, 3, 4, 7), (True, 4, 3, 5), (True, 4, 4, 7)])
+    def test_surgery_scale_gadget_plans(self, complete, base, columns,
+                                        fans_from):
+        # the products the surgery-scale benchmark transfers into: m =
+        # 1..16, a 3- or 4-world first factor with self-loops only or
+        # complete, and 3 or 4 columns.  Below m = fans_from the gadget
+        # factor keeps all its offset rows; from it on, fanning the base
+        # worlds at least halves its operations, so its rows are the
+        # self-loops and the chains, and its fans are exactly the product
+        # worlds over base worlds.  The thresholds are those of the ranked
+        # prefix rule that the sole-source rule replaced
+        def frame(n):
+            return Frame1(n, [(a, b) for a in range(n) for b in range(n)
+                              if complete or a == b])
+
+        for m in range(1, 17):
+            ext = attach_gadgets(frame(base), m)
+            plan = product((ext, frame(columns)))
+            assert plan.fans[1] == ()
+            fanned = [w for w, _ in plan.fans[0]]
+            if m < fans_from:
+                assert plan.steps[0] == tuple(
+                    (d * columns, plan.codec.widen(0, sources))
+                    for d, sources in ext.offsets)
+                assert fanned == []
+            else:
+                assert [d for d, _ in plan.steps[0]] == [0, columns]
+                assert fanned == list(range(base * columns))
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_sat_and_reach_agree_with_the_oracles(self, data):

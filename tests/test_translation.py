@@ -9,7 +9,7 @@ from onevar.formulas import (FormulaStore, ModalityError, composite_dia,
                              variables)
 from onevar.kripke import ProductModel, sat_set
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
-                                MAX_VARIABLE_INDEX, VARIANT_GRID,
+                                MAX_ARITY, MAX_VARIABLE_INDEX, VARIANT_GRID,
                                 ReservedVariableError, TranslationContext,
                                 VariantConfig, variant_by_name)
 from tests.test_formulas import random_formula
@@ -274,6 +274,14 @@ class TestReduce:
         for index in (MAX_VARIABLE_INDEX + 1, 10**21):
             with pytest.raises(ValueError, match=str(MAX_VARIABLE_INDEX)):
                 ctx_for(store, f"p{index}")
+
+    def test_arity_is_capped(self, store):
+        # the guard boxes over every modality, so an arity above the cap is
+        # refused before anything is built
+        assert TranslationContext(store, MAX_ARITY, 1, 0).arity == MAX_ARITY
+        for arity in (MAX_ARITY + 1, 10**21):
+            with pytest.raises(ValueError, match=str(MAX_ARITY)):
+                TranslationContext(store, arity, 1, 0)
 
     def test_dag_growth_bounded(self, store):
         # measured fit: the reduction adds a dag cost linear in arity*depth
