@@ -11,11 +11,9 @@ from onevar.formulas import (
     FormulaStore,
     ModalityError,
     ParseError,
-    modal_depth,
+    dag_size,
     parse,
     render,
-    sizes,
-    variables,
 )
 from onevar.kripke import (
     Frame1,
@@ -40,11 +38,9 @@ __all__ = [
     "FormulaStore",
     "ModalityError",
     "ParseError",
-    "modal_depth",
+    "dag_size",
     "parse",
     "render",
-    "sizes",
-    "variables",
     "Frame1",
     "ProductModel",
     "check",

@@ -16,7 +16,7 @@ import sys
 import time
 
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
-                             dag_listing, modal_depth, parse, render, sizes)
+                             dag_listing, dag_size, parse, render)
 from onevar.kripke import ModelFormatError, ProductModel, check, sat_set
 from onevar.search import (CALIBRATION_CORPUS, CheckerDisagreement,
                            FactorClass, NoPassingVariant, SearchBudget,
@@ -105,24 +105,23 @@ def cmd_translate(args) -> int:
     ctx = TranslationContext.for_formula(store, f, args.arity,
                                          _variant(args, args.k_mode))
     reduced = ctx.reduce(f)
-    tree, dag = sizes(reduced)
-    src_tree, src_dag = sizes(f)
+    dag = dag_size(reduced)
     payload = {
         "formula": render(f),
         "arity": args.arity,
         "variant": ctx.variant.name,
         "metrics": {
-            "source": {"tree_size": src_tree, "dag_size": src_dag,
-                       "modal_depth": modal_depth(f)},
-            "reduction": {"tree_size": tree, "dag_size": dag,
-                          "modal_depth": modal_depth(reduced)},
+            "source": {"tree_size": f.tree_size, "dag_size": dag_size(f),
+                       "modal_depth": f.depth},
+            "reduction": {"tree_size": reduced.tree_size, "dag_size": dag,
+                          "modal_depth": reduced.depth},
         },
         "reduction_dag": dag_listing(reduced),
     }
     if args.expand:
         payload["reduction"] = render(reduced)
-    summary = (f"reduced {render(f)!r}: tree {tree}, dag {dag}, "
-               f"depth {modal_depth(reduced)}")
+    summary = (f"reduced {render(f)!r}: tree {reduced.tree_size}, "
+               f"dag {dag}, depth {reduced.depth}")
     _emit(args, payload, summary)
     return EXIT_OK
 
@@ -241,9 +240,8 @@ def cmd_bench(args) -> int:
             f = store.box(1, f)
         reduced = ctx.reduce(f)
         elapsed = time.perf_counter() - t0
-        gt, gd = sizes(guard)
-        rt, rd = sizes(reduced)
-        rows.append(f"{d},{gt},{gd},{rt},{rd},{elapsed:.6f}")
+        rows.append(f"{d},{guard.tree_size},{dag_size(guard)},"
+                    f"{reduced.tree_size},{dag_size(reduced)},{elapsed:.6f}")
     csv = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,11 +8,12 @@ index k >= 1 prints as ``pK``.
 
 Every formula lives in a :class:`FormulaStore` that interns nodes, so two
 structurally equal terms built in the same store are the same object.  A node
-is keyed by its kind, its index and its children's uids, and its metrics
-(modal depth, variable set, tree size) are computed once at interning time
-from its children's, never by walking the subtree.  The expanded tree can be
-exponentially larger than the interned DAG; ``tree_size`` is a number, never
-a materialized tree.
+is keyed by its kind, its index and its children's uids, and its metrics,
+the attributes ``depth`` (modal depth), ``var_set`` (variable indices) and
+``tree_size``, are computed once at interning time from its children's,
+never by walking the subtree.  The expanded tree can be exponentially larger
+than the interned DAG; ``tree_size`` is a number, never a materialized tree,
+and :func:`dag_size` counts the interned nodes.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class Formula:
     uid: int          # serial number within the owning store
     depth: int        # modal depth
     tree_size: int    # node count of the fully expanded tree
-    var_set: frozenset
+    var_set: frozenset  # exact set of variable indices occurring
 
     def __repr__(self) -> str:
         if self.tree_size <= 40:
@@ -186,16 +187,6 @@ class FormulaStore:
         return acc
 
 
-def modal_depth(f: Formula) -> int:
-    """Maximal nesting of box operators in ``f``."""
-    return f.depth
-
-
-def variables(f: Formula) -> frozenset:
-    """Exact set of variable indices occurring in ``f``."""
-    return f.var_set
-
-
 def postorder(f: Formula) -> tuple[Formula, ...]:
     """Every distinct node reachable from ``f``, children before parents.
 
@@ -228,11 +219,6 @@ def dag_size(f: Formula) -> int:
     return len(postorder(f))
 
 
-def sizes(f: Formula) -> tuple[int, int]:
-    """``(tree_size, dag_size)`` of ``f``."""
-    return f.tree_size, dag_size(f)
-
-
 # ---------------------------------------------------------------------------
 # Defined modalities
 # ---------------------------------------------------------------------------
@@ -253,9 +239,9 @@ def box_upto(store: FormulaStore, dims: Collection[int], k: int,
              f: Formula) -> Formula:
     """``f`` holds everywhere within ``k`` steps along the modalities ``dims``.
 
-    ``dims`` is a set of 1-based modality indices, as in
-    :func:`onevar.kripke.bounded_reach_mask`: ``1..n`` quantifies over every
-    modality, ``2..n`` over those that keep the first coordinate.  Level 0 is
+    ``dims`` is a set of 1-based modality indices: ``1..n`` quantifies over
+    every modality, the steps :func:`onevar.kripke.bounded_reach_mask`
+    takes, and ``2..n`` over those that keep the first coordinate.  Level 0 is
     ``f`` itself; each level conjoins the previous one with its image under
     every box in ``dims``, in increasing index order.  The interned form
     shares all levels, so the DAG grows linearly in ``len(dims) * k`` while

@@ -866,25 +866,18 @@ def check_naive(model: ProductModel, world: int, f: Formula) -> bool:
     return ev(world, f)
 
 
-def bounded_reach_mask(plan: ShiftPlan, start: int, k: int,
-                       dims: Iterable[int]) -> int:
-    """Worlds reachable from ``start`` in at most ``k`` steps along ``dims``,
-    as a mask.
+def bounded_reach_mask(plan: ShiftPlan, start: int, k: int) -> int:
+    """Worlds reachable from ``start`` in at most ``k`` steps along any
+    modality of ``plan``, as a mask.
 
-    ``dims`` is a set of 1-based modality indices; ``dims = 1..n`` gives full
-    bounded reachability, ``dims = 2..n`` the first-coordinate-preserving
-    variant.  Each step moves the whole frontier mask along every offset of
-    the chosen relations at once, and adds the targets of each fan whose
-    world is in the frontier.
+    Each step moves the whole frontier mask along every offset row of every
+    relation at once, and adds the targets of each fan whose world is in the
+    frontier.
     """
-    dims = sorted(set(dims))
-    for d in dims:
-        if not 1 <= d <= plan.arity:
-            raise ValueError(f"dimension {d} outside 1..{plan.arity}")
     if not 0 <= start < plan.worlds:
         raise ValueError(f"unknown world {start}")
-    steps = [step for d in dims for step in plan.steps[d - 1]]
-    fans = [fan for d in dims for fan in plan.fans[d - 1]]
+    steps = [step for row in plan.steps for step in row]
+    fans = [fan for row in plan.fans for fan in row]
     seen = frontier = 1 << start
     for _ in range(k):
         moved = 0

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from onevar.formulas import Formula, FormulaStore, parse, variables
+from onevar.formulas import Formula, FormulaStore, parse
 # sat_set is unused here; perfbench/tracer.py patches onevar.search.sat_set
 from onevar.kripke import (Frame1, FrameList, LaneLayout, ProductModel,
                            check_naive, product, repunit, sat_mask, sat_set)
@@ -121,8 +121,10 @@ class SearchBudget:
     set, in which case sampling is refused and the search raises instead of
     silently weakening a none-within-bounds certificate.  ``time_limit``
     (seconds) is checked before each block of up to ``2**BLOCK_BITS``
-    (frame, valuation) lanes; a size's frames are enumerated before its
-    first block, so the limit does not bound that enumeration.
+    (frame, valuation) lanes; size vectors are generated lazily, but a
+    size's frames are enumerated before its first block, so the limit does
+    not bound that enumeration.  The fields are checked when the budget is
+    made, whatever formula it will bound.
     """
 
     max_worlds_per_factor: int = 3
@@ -132,12 +134,23 @@ class SearchBudget:
     time_limit: float | None = None
     seed: int = 0
 
-    def factor_limit(self, position: int, arity: int) -> int:
-        if self.per_factor_max is not None:
-            if len(self.per_factor_max) != arity:
-                raise ValueError("per_factor_max arity mismatch")
-            return self.per_factor_max[position]
-        return self.max_worlds_per_factor
+    def __post_init__(self) -> None:
+        if min(self.per_factor_max or [self.max_worlds_per_factor]) < 1:
+            raise ValueError(
+                "world budget must allow at least one world per factor")
+        if self.max_valuations < 1:
+            raise ValueError("a frame needs at least one valuation")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            # NaN fails every comparison and would switch the limit off
+            raise ValueError("time limit must be None or at least 0 seconds")
+
+    def limits(self, arity: int) -> tuple[int, ...]:
+        """The world bound of each of ``arity`` factors."""
+        if self.per_factor_max is None:
+            return (self.max_worlds_per_factor,) * arity
+        if len(self.per_factor_max) != arity:
+            raise ValueError("per_factor_max arity mismatch")
+        return self.per_factor_max
 
 
 FOUND = "found"
@@ -158,9 +171,15 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-def _size_vectors(limits: list[int]) -> list[tuple[int, ...]]:
-    vectors = itertools.product(*(range(1, lim + 1) for lim in limits))
-    return sorted(vectors, key=lambda v: (sum(v), v))
+def _size_vectors(limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every vector of factor sizes within ``limits``, by total and then
+    lexicographically; each total filters ``itertools.product`` anew, so
+    nothing is listed or sorted."""
+    for total in range(len(limits), sum(limits) + 1):
+        for sizes in itertools.product(*(range(1, lim + 1)
+                                         for lim in limits)):
+            if sum(sizes) == total:
+                yield sizes
 
 
 def _exhaustive_blocks(n_worlds: int, var_list: list[int]
@@ -202,8 +221,6 @@ def _sampled_blocks(n_worlds: int, var_list: list[int], budget: SearchBudget
     """``budget.max_valuations`` seeded valuations in blocks, laid out as in
     :func:`_exhaustive_blocks`; each valuation draws one world mask per
     variable, in ``var_list`` order.  Every frame is checked under these."""
-    if budget.max_valuations < 1:
-        raise ValueError("a frame needs at least one valuation")
     rng = random.Random(budget.seed)
     blocks = []
     left = budget.max_valuations
@@ -266,14 +283,9 @@ def _search(f: Formula, classes: Sequence[FactorClass], budget: SearchBudget,
     are taken lowest lane (frame, then valuation) first and, per lane, at
     the lowest refuting world, as a one-model-at-a-time sweep meets them.
     """
-    arity = len(classes)
-    limits = [budget.factor_limit(i, arity) for i in range(arity)]
-    if any(lim < 1 for lim in limits):
-        raise ValueError("world budget must allow at least one world per factor")
-    var_list = sorted(variables(f))
-    worst_bits = len(var_list)
-    for lim in limits:
-        worst_bits *= lim
+    limits = budget.limits(len(classes))
+    var_list = sorted(f.var_set)
+    worst_bits = len(var_list) * math.prod(limits)
     if budget.exhaustive and worst_bits > EXHAUSTIVE_VALUATION_BITS:
         raise ValueError(
             f"exhaustive valuation enumeration would need {worst_bits} bits "
@@ -398,46 +410,6 @@ def random_formula(store: FormulaStore, rng: random.Random, arity: int,
 # ---------------------------------------------------------------------------
 # Corpora
 # ---------------------------------------------------------------------------
-
-# Formulas refutable over T x T products at factor sizes <= 3 (hence also
-# over K x K: a reflexive countermodel is a K countermodel).  All use
-# arity 2, variable indices <= 2 and modal depth <= 2.
-REFUTABLE_CORPUS: tuple[str, ...] = (
-    "F",
-    "p1",
-    "p2",
-    "~p1",
-    "p1 & p2",
-    "p1 | p2",
-    "p1 -> p2",
-    "[1]p1",
-    "[2]p1",
-    "[1]F",
-    "[2]F",
-    "<1>p1",
-    "<2>p2",
-    "p1 -> [1]p1",
-    "p1 -> [2]p1",
-    "p2 -> [1]p2",
-    "p2 -> [2]p2",
-    "<1>p1 -> p1",
-    "<2>p1 -> p1",
-    "<1>p1 -> [1]p1",
-    "<2>p1 -> [2]p1",
-    "[1]p1 -> [2]p1",
-    "[2]p1 -> [1]p1",
-    "[1]p1 -> [1][1]p1",
-    "[2]p1 -> [2][2]p1",
-    "p1 -> [1][2]p1",
-    "p1 -> [2][1]p1",
-    "p1 -> [1][1]p1",
-    "p1 & p2 -> [1](p1 & p2)",
-    "p1 & p2 -> [2]p2",
-    "[1](p1 | p2) -> [1]p1 | [1]p2",
-    "<1>p1 & <1>p2 -> <1>(p1 & p2)",
-    "<1><1>p1 -> <1>p1",
-    "[1](p1 -> p2) -> [1]p2",
-)
 
 # Valid over T x T products; the search must certify "none within bounds".
 VALID_CORPUS_TT: tuple[str, ...] = (

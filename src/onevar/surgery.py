@@ -311,8 +311,7 @@ def build_extraction(counter: ProductModel, f: Formula,
         raise PreconditionFailed(
             "the model does not refute the reduced formula at its point")
 
-    reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth,
-                               range(1, ctx.arity + 1))
+    reach = bounded_reach_mask(counter.frame, counter.point, ctx.depth)
     marked = counter.sat(ctx.base_marker())
     columns = counter.codec.strides[0]
     kept = sorted({w // columns for w in bit_indices(reach & marked)})

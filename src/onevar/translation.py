@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from onevar.formulas import (AND, BOT, BOX, OR, VAR, Formula, FormulaStore,
                              ModalityError, box_upto, composite_dia, dia_upto,
-                             postorder, variables)
+                             postorder)
 
 
 class ReservedVariableError(ValueError):
@@ -135,7 +135,7 @@ class TranslationContext:
         """Context sized for ``f``: var_limit is the largest variable index
         occurring in ``f`` (not the count of distinct variables), depth its
         modal depth."""
-        return cls(store, arity, max(variables(f), default=0), f.depth, variant)
+        return cls(store, arity, max(f.var_set, default=0), f.depth, variant)
 
     def ladder_probe(self, k: int) -> Formula:
         """k-fold composite diamond applied to ``[1]p``: true at the mouth of

@@ -13,17 +13,18 @@ import random
 import time
 from pathlib import Path
 
-from onevar.formulas import FormulaStore, parse, sizes, variables
+from onevar.formulas import FormulaStore, dag_size, parse
 from onevar.kripke import check_naive
 from onevar.search import (CALIBRATION_CORPUS, REDUCTION_SEARCH_CORPUS,
-                           REFUTABLE_CORPUS, FactorClass, SearchBudget,
-                           calibrate_variants, find_all_countermodels,
-                           random_formula, search_countermodel)
+                           FactorClass, SearchBudget, calibrate_variants,
+                           find_all_countermodels, random_formula,
+                           search_countermodel)
 from onevar.surgery import (check_kept_points_marked, check_marker_agreement,
                             check_marker_exactness, extract_countermodel,
                             transfer_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext)
+from tests.test_search import REFUTABLE_CORPUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TT = (FactorClass.T, FactorClass.T)
@@ -57,7 +58,7 @@ class TestAcceptance:
         for _ in range(500):
             f = random_formula(store, rng, arity=2, max_var=3, max_depth=3)
             ctx = TranslationContext.for_formula(store, f, 2)
-            if not variables(ctx.reduce(f)) <= {0}:
+            if not ctx.reduce(f).var_set <= {0}:
                 failures += 1
         elapsed = time.perf_counter() - started
         ok = failures == 0 and elapsed < 10.0
@@ -72,9 +73,9 @@ class TestAcceptance:
         trees, dags = [], []
         for d in range(1, 6):
             ctx = TranslationContext(store, 2, 1, d)
-            tree, dag = sizes(ctx.uniform_guard())
-            trees.append(tree)
-            dags.append(dag)
+            guard = ctx.uniform_guard()
+            trees.append(guard.tree_size)
+            dags.append(dag_size(guard))
         ratios = [trees[i + 1] / trees[i] for i in range(4)]
         increments = [dags[i + 1] - dags[i] for i in range(4)]
         elapsed = time.perf_counter() - started

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from onevar import search
 from onevar.formulas import (FormulaStore, ModalityError, ParseError,
                              box_upto, composite_dia, dag_listing, dag_size,
-                             dia_upto, modal_depth, parse, postorder, render,
-                             sizes, variables)
+                             dia_upto, parse, postorder, render)
 from onevar.search import CALIBRATION_CORPUS
 from onevar.translation import VARIANT_GRID, TranslationContext
 
@@ -231,9 +230,9 @@ class TestInterning:
         rng = random.Random(99)
         for _ in range(300):
             f = random_formula(store, rng)
-            assert modal_depth(f) == naive_depth(f)
+            assert f.depth == naive_depth(f)
             assert f.tree_size == naive_tree_size(f)
-            assert variables(f) == frozenset(naive_vars(f))
+            assert f.var_set == frozenset(naive_vars(f))
             assert dag_size(f) == naive_dag_size(f)
 
     def test_constructor_metrics_on_reductions(self):
@@ -275,16 +274,18 @@ class TestInterning:
 
 class TestMetrics:
     def test_depth_basics(self, store):
-        assert modal_depth(store.var(1)) == 0
-        assert modal_depth(store.box(1, store.box(2, store.var(1)))) == 2
+        assert store.var(1).depth == 0
+        assert store.box(1, store.box(2, store.var(1))).depth == 2
 
     def test_variables(self, store):
-        assert variables(store.bottom()) == frozenset()
-        assert variables(store.and_(store.var(1), store.var(3))) == {1, 3}
+        assert store.bottom().var_set == frozenset()
+        assert store.and_(store.var(1), store.var(3)).var_set == {1, 3}
 
     def test_sizes_leaf_and_sharing(self, store):
-        assert sizes(store.var(1)) == (1, 1)
-        assert sizes(store.and_(store.var(1), store.var(1))) == (3, 2)
+        leaf = store.var(1)
+        assert (leaf.tree_size, dag_size(leaf)) == (1, 1)
+        shared = store.and_(leaf, leaf)
+        assert (shared.tree_size, dag_size(shared)) == (3, 2)
 
     def test_subformulas_unique(self, store):
         f = store.and_(store.var(1), store.and_(store.var(1), store.var(2)))
@@ -340,8 +341,7 @@ class TestDefinedModalities:
     def test_depth_adds_level(self, store):
         for psi in (store.var(1), store.box(1, store.var(2))):
             for k in range(7):
-                assert modal_depth(box_upto(store, (1, 2), k, psi)) == \
-                    k + modal_depth(psi)
+                assert box_upto(store, (1, 2), k, psi).depth == k + psi.depth
 
     def test_size_growth(self, store):
         # recurrence on explicitly built formulas, n = 2, leaf body
@@ -349,8 +349,8 @@ class TestDefinedModalities:
         prev_tree = None
         for k in range(7):
             f = box_upto(store, (1, 2), k, psi)
-            tree, dag = sizes(f)
-            assert dag <= sizes(psi)[1] + 3 * k + k
+            tree = f.tree_size
+            assert dag_size(f) <= dag_size(psi) + 3 * k + k
             assert tree >= 3 ** k
             if prev_tree is not None:
                 assert tree == 3 * prev_tree + 4

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -10,12 +11,12 @@ import pytest
 import onevar.search
 from onevar.formulas import FormulaStore, parse
 from onevar.kripke import Frame1, check_naive, product
-from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS,
-                           REFUTABLE_CORPUS, VALID_CORPUS_TT,
+from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS, VALID_CORPUS_TT,
                            FactorClass, NoPassingVariant, SearchBudget,
-                           _search, calibrate_variants, differential_suite,
-                           enumerate_frames, find_all_countermodels,
-                           is_member, random_formula, search_countermodel)
+                           _search, _size_vectors, calibrate_variants,
+                           differential_suite, enumerate_frames,
+                           find_all_countermodels, is_member, random_formula,
+                           search_countermodel)
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
@@ -23,6 +24,46 @@ from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
 TT = (FactorClass.T, FactorClass.T)
 TS5 = (FactorClass.T, FactorClass.S5)
 KK = (FactorClass.K, FactorClass.K)
+
+# Formulas refutable over T x T products at factor sizes <= 3 (hence also
+# over K x K: a reflexive countermodel is a K countermodel).  All use
+# arity 2, variable indices <= 2 and modal depth <= 2.
+REFUTABLE_CORPUS: tuple[str, ...] = (
+    "F",
+    "p1",
+    "p2",
+    "~p1",
+    "p1 & p2",
+    "p1 | p2",
+    "p1 -> p2",
+    "[1]p1",
+    "[2]p1",
+    "[1]F",
+    "[2]F",
+    "<1>p1",
+    "<2>p2",
+    "p1 -> [1]p1",
+    "p1 -> [2]p1",
+    "p2 -> [1]p2",
+    "p2 -> [2]p2",
+    "<1>p1 -> p1",
+    "<2>p1 -> p1",
+    "<1>p1 -> [1]p1",
+    "<2>p1 -> [2]p1",
+    "[1]p1 -> [2]p1",
+    "[2]p1 -> [1]p1",
+    "[1]p1 -> [1][1]p1",
+    "[2]p1 -> [2][2]p1",
+    "p1 -> [1][2]p1",
+    "p1 -> [2][1]p1",
+    "p1 -> [1][1]p1",
+    "p1 & p2 -> [1](p1 & p2)",
+    "p1 & p2 -> [2]p2",
+    "[1](p1 | p2) -> [1]p1 | [1]p2",
+    "<1>p1 & <1>p2 -> <1>(p1 & p2)",
+    "<1><1>p1 -> <1>p1",
+    "[1](p1 -> p2) -> [1]p2",
+)
 
 
 def brute_count(size, predicate):
@@ -154,18 +195,57 @@ class TestSearch:
             f, TT, SearchBudget(max_worlds_per_factor=3, time_limit=0.0))
         assert out.status == "budget-exhausted"
 
-    def test_zero_budget_rejected(self, store):
-        f = parse("p1", 2, store)
-        with pytest.raises(ValueError):
-            search_countermodel(f, TT, SearchBudget(max_worlds_per_factor=0))
+    def test_zero_budget_rejected(self):
+        # a budget is checked when it is made, not by the search it bounds
+        with pytest.raises(ValueError, match="at least one world"):
+            SearchBudget(max_worlds_per_factor=0)
+        with pytest.raises(ValueError, match="at least one world"):
+            SearchBudget(per_factor_max=(2, 0))
 
-    def test_zero_sampled_valuations_rejected(self, store):
-        # 3 variables at 3x3 is 27 bits, above the exhaustive cutoff, so
-        # the search samples there and must refuse to sample none; the
-        # smaller sizes, enumerated exhaustively, refute nothing
-        f = parse("p1 & p2 & p3 -> p1", 2, store)
+    def test_zero_sampled_valuations_rejected(self):
+        # whether the search would sample (3 variables at 3x3 is 27 bits,
+        # above the exhaustive cutoff) or not (one variable), a budget of no
+        # valuations is refused before any formula is read
         with pytest.raises(ValueError, match="at least one valuation"):
-            search_countermodel(f, TT, SearchBudget(max_valuations=0))
+            SearchBudget(max_valuations=0)
+
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_bad_time_limit_rejected(self, limit):
+        # NaN would switch the limit off and a negative one would end every
+        # search at once; 0 and None stay valid
+        with pytest.raises(ValueError, match="time limit"):
+            SearchBudget(time_limit=limit)
+        SearchBudget(time_limit=0.0)
+        SearchBudget(time_limit=None)
+
+    def test_limits_per_factor(self):
+        assert SearchBudget(max_worlds_per_factor=2).limits(3) == (2, 2, 2)
+        budget = SearchBudget(per_factor_max=(4, 1))
+        assert budget.limits(2) == (4, 1)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            budget.limits(3)
+
+    @pytest.mark.parametrize("limits", [(3, 3), (4, 1), (2, 2, 2), (1, 3, 2)])
+    def test_size_vectors_by_total_then_lexicographic(self, limits):
+        vectors = itertools.product(*(range(1, lim + 1) for lim in limits))
+        assert list(_size_vectors(limits)) == \
+            sorted(vectors, key=lambda v: (sum(v), v))
+
+    def test_time_limit_cuts_before_listing_size_vectors(self, store):
+        # twelve factors of up to 3 worlds have 3**12 = 531,441 size
+        # vectors; listing and sorting them all before the first deadline
+        # check took over 100 MB of traced memory
+        classes = (FactorClass.T,) * 12
+        f = parse("p1", len(classes), store)
+        tracemalloc.start()
+        try:
+            out = search_countermodel(f, classes,
+                                      SearchBudget(time_limit=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == "budget-exhausted"
+        assert peak < 4 * 2**20
 
     def test_exhaustive_mode_refuses_sampling(self, store):
         f = parse("p1 & p2", 2, store)

@@ -129,12 +129,12 @@ def _names_read_and_defined():
 
 
 def test_every_public_definition_is_used():
-    # a public top-level function or class that neither the package nor
-    # the benchmark reads serves only the tests, and belongs in them
+    # a public top-level function, class or assigned name (a constant, a
+    # corpus) that neither the package nor the benchmark reads serves only
+    # the tests, and belongs in them
     read, defined = _names_read_and_defined()
-    assert [f"{module} {name}" for module, name, node in defined
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not name.startswith("_") and name not in read] == []
+    assert [f"{module} {name}" for module, name, _ in defined
+            if not name.startswith("_") and name not in read] == []
 
 
 def test_every_private_name_is_read():

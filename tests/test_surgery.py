@@ -24,7 +24,8 @@ from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
 from tests.test_kripke import (definition, denoted, edge_product,
-                               edge_restrict, ladder, relation)
+                               edge_restrict, ladder, reach_by_search,
+                               relation)
 
 REFLEXIVE_POINT = Frame1(1, [(0, 0)])
 REFLEXIVE_CHAIN = Frame1(2, [(0, 0), (1, 1), (0, 1)])
@@ -188,21 +189,6 @@ class TestGadgetsMatchEdgeLists:
         assert got == cut and got.labels == cut.labels
 
 
-def reach_by_search(factors, start, k, dims):
-    """Worlds within ``k`` steps of ``start`` along ``dims``, by a
-    breadth-first search over the defined edges of the product."""
-    succ = {}
-    for i in dims:
-        for a, b in definition(factors, i):
-            succ.setdefault(a, []).append(b)
-    seen, frontier = {start}, [start]
-    for _ in range(k):
-        frontier = [b for a in frontier for b in succ.get(a, ())
-                    if b not in seen]
-        seen.update(frontier)
-    return sorted(seen)
-
-
 class TestFannedGadgetProducts:
     def test_big_gadget_factors_are_fanned(self):
         # m = 16 over a complete 4-world base: 75 offset rows, 68 of them
@@ -261,8 +247,9 @@ class TestFannedGadgetProducts:
         # gadget factors at m = 0..16, whose products are fanned from
         # about m = 5 on, first, in the middle or last, in K-mode too:
         # sat_mask against check_naive at every world, and
-        # bounded_reach_mask against a search over the defined edges from
-        # the worlds over base points, the sources of the fans
+        # bounded_reach_mask against a search over the defined edges of
+        # every modality from the worlds over base points, the sources of
+        # the fans
         k_mode = data.draw(st.booleans())
         n = data.draw(st.integers(1, 2))
         cells = [(a, b) for a in range(n) for b in range(n)]
@@ -291,13 +278,11 @@ class TestFannedGadgetProducts:
 
         stride = model.codec.strides[at]
         k = data.draw(st.integers(0, 4))
-        dims = data.draw(st.lists(st.integers(1, len(factors)), min_size=1,
-                                  unique=True))
+        every = range(1, len(factors) + 1)
         for x in range(n):
             start = x * stride + rng.randrange(stride)
-            assert bit_indices(bounded_reach_mask(
-                model.frame, start, k, dims)) == \
-                reach_by_search(factors, start, k, dims)
+            assert bit_indices(bounded_reach_mask(model.frame, start, k)) == \
+                reach_by_search(factors, start, k, every)
 
 
 def lifted_coords(base, m, variant):
@@ -756,7 +741,7 @@ def reference_exactness(result, ctx):
 def reference_kept_points(counter, extraction, ctx):
     kept = set(extraction.kept_first_factor)
     reach = bit_indices(bounded_reach_mask(counter.frame, counter.point,
-                                           ctx.depth, range(1, ctx.arity + 1)))
+                                           ctx.depth))
     marked = sat_set(counter, ctx.base_marker())
     columns = counter.codec.strides[0]
     violations = []
@@ -841,7 +826,7 @@ class TestMaskSurgeriesMatchPerWorld:
         rows = result.model.factors[0].worlds
         kept = tuple(x for x in range(rows) if data.draw(st.booleans()))
         reach = bounded_reach_mask(result.model.frame, result.model.point,
-                                   ctx.depth, range(1, ctx.arity + 1))
+                                   ctx.depth)
         drawn = ExtractionResult(kept, result.model, result.point, {}, reach)
         assert check_kept_points_marked(result.model, drawn, ctx) == \
             reference_kept_points(result.model, drawn, ctx)

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from onevar.formulas import (FormulaStore, ModalityError, composite_dia,
-                             dag_size, modal_depth, parse, render, sizes,
-                             variables)
+                             dag_size, parse, render)
 from onevar.kripke import ProductModel, sat_set
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 MAX_ARITY, MAX_VARIABLE_INDEX, VARIANT_GRID,
@@ -57,7 +56,7 @@ class TestLadderProbe:
         from tests.test_formulas import naive_depth
         for k in range(1, 7):
             probe = ctx.ladder_probe(k)
-            assert modal_depth(probe) == naive_depth(probe) == 2 * k + 1
+            assert probe.depth == naive_depth(probe) == 2 * k + 1
 
     def test_sat_on_active_ladder(self, store):
         # first-factor evaluation on the gadget with p on w1..wk: the probe
@@ -77,7 +76,7 @@ class TestLadderProbe:
 
     def test_uses_only_reserved_variable(self, store):
         ctx = TranslationContext(store, 2, 2, 0)
-        assert variables(ctx.ladder_probe(3)) == {0}
+        assert ctx.ladder_probe(3).var_set == {0}
 
 
 class TestVarMarker:
@@ -98,7 +97,7 @@ class TestVarMarker:
     def test_single_variable(self, store):
         ctx = TranslationContext(store, 2, 3, 1)
         for k in range(1, 5):
-            assert variables(ctx.var_marker(k)) == {0}
+            assert ctx.var_marker(k).var_set == {0}
 
     def test_range_checked(self, store):
         ctx = TranslationContext(store, 2, 2, 0)
@@ -127,7 +126,7 @@ class TestBaseMarker:
         for m in range(3):
             ctx = TranslationContext(store, 2, m, 0, plain_variant())
             marker = ctx.base_marker()
-            assert modal_depth(marker) == naive_depth(marker) == 2 * (m + 1) + 2
+            assert marker.depth == naive_depth(marker) == 2 * (m + 1) + 2
 
     def test_shared_across_lowered_boxes(self, store):
         ctx = ctx_for(store, "[1]p1 & [2]p2")
@@ -199,13 +198,13 @@ class TestGuard:
     def test_single_variable(self, store):
         for d in range(4):
             ctx = TranslationContext(store, 2, 1, d)
-            assert variables(ctx.uniform_guard()) == {0}
+            assert ctx.uniform_guard().var_set == {0}
 
     def test_tree_size_exponential(self, store):
         # measured on built formulas: the expanded guard dominates (n+1)^d
         for d in range(1, 6):
             ctx = TranslationContext(store, 2, 1, d)
-            tree, _ = sizes(ctx.uniform_guard())
+            tree = ctx.uniform_guard().tree_size
             assert tree >= 3 ** d
 
 
@@ -226,7 +225,7 @@ class TestReduce:
         for _ in range(200):
             f = random_formula(store, rng, arity=2, max_var=3, depth=3)
             ctx = TranslationContext.for_formula(store, f, 2)
-            assert variables(ctx.reduce(f)) <= {0}
+            assert ctx.reduce(f).var_set <= {0}
 
     def test_deterministic_across_stores(self):
         text = "p1 & [1](p2 -> [2]p1)"
@@ -252,11 +251,11 @@ class TestReduce:
             f = random_formula(store, rng, arity=2, max_var=2, depth=3)
             ctx = TranslationContext.for_formula(store, f, 2)
             lowered = ctx.lower(f)
-            marker_depth = modal_depth(ctx.base_marker())
-            if modal_depth(f) >= 1:
-                assert modal_depth(lowered) == modal_depth(f) + marker_depth
+            marker_depth = ctx.base_marker().depth
+            if f.depth >= 1:
+                assert lowered.depth == f.depth + marker_depth
             else:
-                assert modal_depth(lowered) <= modal_depth(f) + marker_depth
+                assert lowered.depth <= f.depth + marker_depth
 
     def test_var_limit_is_max_index(self, store):
         # gaps in the variable indexing keep their identity
