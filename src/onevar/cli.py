@@ -10,7 +10,6 @@ flags and seeds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -188,14 +187,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    store = FormulaStore()
     class_pairs = [_classes(part) for part in args.classes.split(";")]
     budget = _budget(args)
     corpus = tuple(CALIBRATION_CORPUS)
     if args.k_mode:
         corpus = corpus + ("[1]p1 -> p1",)
     report = calibrate_variants(VARIANT_GRID, corpus, class_pairs, budget,
-                                store, k_mode=args.k_mode)
+                                k_mode=args.k_mode)
     _emit(args, report.to_json(),
           f"calibration selected {report.selected} "
           f"(ties: {', '.join(report.ties)})")
@@ -203,19 +201,16 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    store = FormulaStore()
     classes = _classes(args.classes)
     if args.corpus:
         with open(args.corpus, encoding="utf-8") as fh:
-            corpus = [line.strip() for line in fh
-                      if line.strip() and not line.startswith("#")]
+            lines = [line.strip() for line in fh]
+        corpus = [line for line in lines if line and not line.startswith("#")]
     else:
         corpus = list(DEFAULT_SUITE_CORPUS)
-    budget = _budget(args)
-    per_factor = (args.reduction_worlds,) + (1,) * (len(classes) - 1)
-    reduction_budget = dataclasses.replace(budget, per_factor_max=per_factor)
-    report = differential_suite(corpus, classes, budget, reduction_budget,
-                                store, _variant(args, args.k_mode),
+    report = differential_suite(corpus, classes, _budget(args),
+                                args.reduction_worlds,
+                                _variant(args, args.k_mode),
                                 k_mode=args.k_mode)
     _emit(args, report.to_json(),
           f"suite {'passed' if report.passed else 'FAILED'} over "

@@ -26,7 +26,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from onevar.formulas import Formula, FormulaStore, parse
@@ -484,20 +484,31 @@ class NoPassingVariant(RuntimeError):
         self.report = report
 
 
+def _require_reflexive_first(
+        class_tuples: Sequence[Sequence[FactorClass]], k_mode: bool) -> None:
+    # outside K-mode the gadgets need a reflexive first factor
+    if not k_mode and any(c[0] is FactorClass.K for c in class_tuples):
+        raise ValueError(
+            "the first factor must be reflexive (use k_mode for K frames)")
+
+
 def calibrate_variants(grid: Sequence[VariantConfig],
                        corpus: Sequence[str],
                        class_pairs: Sequence[Sequence[FactorClass]],
                        budget: SearchBudget,
-                       store: FormulaStore,
                        k_mode: bool = False) -> CalibrationReport:
     """Run transfer, the two marker scans, extraction and the round trip for
     every variant over every corpus instance; select the first variant that
     passes everything.
 
-    Each formula is read, and its contexts are built, at the arity of each
-    class tuple in turn.  Base countermodels are searched once per instance
-    (they do not depend on the variant).  Ties are surfaced, not broken.
+    Each formula is read into the calibration's own store, and its contexts
+    are built, at the arity of each class tuple in turn.  Base countermodels
+    are searched once per instance (they do not depend on the variant).  The
+    surgery families record each result's ``verified``.  Ties are surfaced,
+    not broken.  Outside K-mode a first class K raises ``ValueError``.
     """
+    _require_reflexive_first(class_pairs, k_mode)
+    store = FormulaStore()
     instances = []
     bases: list[tuple[Formula, ProductModel]] = []
     for text in corpus:
@@ -526,8 +537,7 @@ def calibrate_variants(grid: Sequence[VariantConfig],
             ctx = TranslationContext.for_formula(store, f, len(base.factors),
                                                  variant)
             result = build_transfer(base, f, ctx, k_mode=k_mode)
-            record("transfer", all(result.checks.values()),
-                   str(result.checks))
+            record("transfer", result.verified, str(result.checks))
 
             agreement = check_marker_agreement(result, base, ctx)
             record("marker-agreement", agreement.passed,
@@ -544,13 +554,10 @@ def calibrate_variants(grid: Sequence[VariantConfig],
                 record("extraction", False, str(exc))
                 record("round-trip", False, str(exc))
                 continue
-            record("extraction", extraction.checks["refutes-source"],
-                   str(extraction.checks))
+            record("extraction", extraction.verified, str(extraction.checks))
             kept_scan = check_kept_points_marked(result.model, extraction,
                                                  ctx)
-            round_trip = (kept_scan.passed
-                          and extraction.checks.get("refutes-source", False))
-            record("round-trip", round_trip,
+            record("round-trip", kept_scan.passed and extraction.verified,
                    f"kept-points scan: {len(kept_scan.violations)} violations")
 
     passing = [v.name for v in grid
@@ -588,12 +595,7 @@ class SuiteRow:
                                 self.extraction)
 
     def to_json(self) -> dict:
-        return {"formula": self.formula,
-                "source_search": self.source_search,
-                "transfer": self.transfer,
-                "round_trip": self.round_trip,
-                "reduction_search": self.reduction_search,
-                "extraction": self.extraction}
+        return asdict(self)
 
 
 @dataclass
@@ -612,11 +614,19 @@ class SuiteReport:
                 "rows": [r.to_json() for r in self.rows]}
 
 
+def _attempt(surgery: Callable, *args, **kwargs) -> tuple[str, object]:
+    """The suite status of one surgery run: ``("verified", result)``, or
+    ``("failed", None)`` when the surgery's own verification fails."""
+    try:
+        return "verified", surgery(*args, **kwargs)
+    except (TransferFailed, ExtractionFailed):
+        return "failed", None
+
+
 def differential_suite(corpus: Sequence[str],
                        classes: Sequence[FactorClass],
                        budget: SearchBudget,
-                       reduction_budget: SearchBudget,
-                       store: FormulaStore,
+                       reduction_worlds: int,
                        variant: VariantConfig,
                        k_mode: bool = False) -> SuiteReport:
     """Both directions of the reduction's validity equivalence, per formula.
@@ -626,47 +636,36 @@ def differential_suite(corpus: Sequence[str],
     back through extraction must recover a countermodel of the source.
     Direction two: a searched countermodel of the reduction (its refuting
     point satisfies the guard by construction) must extract to a verified
-    countermodel of the source.  Searches that find nothing leave the
-    direction vacuous; a produced-but-unverifiable witness fails the suite.
+    countermodel of the source, searched within ``reduction_worlds``
+    first-factor worlds and one world in each other factor.  Searches that
+    find nothing leave the direction vacuous; a produced-but-unverifiable
+    witness fails the suite.  Outside K-mode a first class K raises
+    ``ValueError``, so the surgeries' preconditions hold.
     """
+    _require_reflexive_first([classes], k_mode)
+    reduction_budget = replace(budget, per_factor_max=(reduction_worlds,)
+                               + (1,) * (len(classes) - 1))
+    store = FormulaStore()
     rows = []
     for text in corpus:
         f = parse(text, len(classes), store)
         ctx = TranslationContext.for_formula(store, f, len(classes), variant)
         outcome = search_countermodel(f, classes, budget)
-        transfer_status = "vacuous"
-        round_trip_status = "vacuous"
+        transfer = round_trip = "vacuous"
         if outcome.found:
-            try:
-                result = transfer_countermodel(outcome.model, f, ctx,
-                                               k_mode=k_mode)
-                transfer_status = "verified"
-            except (TransferFailed, PreconditionFailed):
-                transfer_status = "failed"
-                result = None
+            transfer, result = _attempt(transfer_countermodel, outcome.model,
+                                        f, ctx, k_mode=k_mode)
             if result is not None:
-                try:
-                    extract_countermodel(result.model, f, ctx)
-                    round_trip_status = "verified"
-                except (ExtractionFailed, PreconditionFailed):
-                    round_trip_status = "failed"
+                round_trip, _ = _attempt(extract_countermodel, result.model,
+                                         f, ctx)
 
         red_outcome = search_countermodel(ctx.reduce(f), classes,
                                           reduction_budget)
-        extraction_status = "vacuous"
+        extraction = "vacuous"
         if red_outcome.found:
-            try:
-                extract_countermodel(red_outcome.model, f, ctx)
-                extraction_status = "verified"
-            except (ExtractionFailed, PreconditionFailed):
-                extraction_status = "failed"
+            extraction, _ = _attempt(extract_countermodel, red_outcome.model,
+                                     f, ctx)
 
-        rows.append(SuiteRow(
-            formula=text,
-            source_search=outcome.status,
-            transfer=transfer_status,
-            round_trip=round_trip_status,
-            reduction_search=red_outcome.status,
-            extraction=extraction_status,
-        ))
+        rows.append(SuiteRow(text, outcome.status, transfer, round_trip,
+                             red_outcome.status, extraction))
     return SuiteReport(tuple(rows), k_mode, budget.seed)

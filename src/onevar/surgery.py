@@ -10,10 +10,13 @@ Two directions:
   within bounded reach, producing a model refuting the source formula.
 
 Both surgeries model-check their own output and raise instead of returning an
-unverified result.  The ``check_*`` scanners verify the intermediate claims
-the constructions rely on (marker/variable agreement at base points, marker
-exactness, marking of all kept reachable points) and return violation
-reports instead of raising, so a miscalibrated variant shows up as data.
+unverified result.  A result's ``verified`` (every entry of ``checks``
+holds) is the one verdict rule: the surgeries raise on it, and calibration
+and the suite read it, never a check by name.  The ``check_*`` scanners
+verify the intermediate claims the constructions rely on (marker/variable
+agreement at base points, marker exactness, marking of all kept reachable
+points) and return violation reports instead of raising, so a miscalibrated
+variant shows up as data.
 
 Both surgeries change only the first factor, so they work on world masks
 row by row: under the row-major numbering of
@@ -152,12 +155,16 @@ def lift_valuation(base: ProductModel, m: int, variant) -> int:
 
 @dataclass
 class TransferResult:
-    """Verified output of :func:`transfer_countermodel`."""
+    """Output of :func:`build_transfer`, verified if every check holds."""
 
     model: ProductModel
     base_points: frozenset[int]   # image of the original worlds, ext indexing
     point: int                    # image of the refuting point
     checks: dict
+
+    @property
+    def verified(self) -> bool:
+        return all(self.checks.values())
 
     def to_json(self) -> dict:
         return {
@@ -205,7 +212,7 @@ def transfer_countermodel(base: ProductModel, f: Formula,
     """Grow a countermodel of ``f`` into a verified countermodel of
     ``ctx.reduce(f)`` at the same point; never returns unverified output."""
     result = build_transfer(base, f, ctx, k_mode=k_mode)
-    if not all(result.checks.values()):
+    if not result.verified:
         raise TransferFailed(
             f"transfer verification failed for variant "
             f"{ctx.variant.name!r}: {result.checks}")
@@ -275,13 +282,17 @@ def check_marker_exactness(result: TransferResult,
 
 @dataclass
 class ExtractionResult:
-    """Verified output of :func:`extract_countermodel`."""
+    """Output of :func:`build_extraction`, verified if every check holds."""
 
     kept_first_factor: tuple[int, ...]  # original first-factor world ids
     model: ProductModel
     point: int
     checks: dict
     reach: int  # worlds of the input within ctx.depth steps of its point
+
+    @property
+    def verified(self) -> bool:
+        return all(self.checks.values())
 
     def to_json(self) -> dict:
         return {
@@ -348,7 +359,7 @@ def extract_countermodel(counter: ProductModel, f: Formula,
     """Carve a verified countermodel of ``f`` out of a countermodel of
     ``ctx.reduce(f)``; never returns unverified output."""
     result = build_extraction(counter, f, ctx)
-    if not result.checks["refutes-source"]:
+    if not result.verified:
         raise ExtractionFailed(
             f"extraction verification failed for variant "
             f"{ctx.variant.name!r}: the carved model does not refute the "

@@ -94,10 +94,9 @@ class TestAcceptance:
 
     def test_3_calibration(self):
         started = time.perf_counter()
-        store = FormulaStore()
         budget = SearchBudget(max_worlds_per_factor=3, seed=7)
         report = calibrate_variants(VARIANT_GRID, CALIBRATION_CORPUS,
-                                    [TT, TS5], budget, store)
+                                    [TT, TS5], budget)
         elapsed = time.perf_counter() - started
         fixture = json.loads(
             (FIXTURES / "calibration_report.json").read_text())
@@ -239,7 +238,7 @@ class TestAcceptance:
 
         # criterion 3 analogue: calibration over K x K
         report = calibrate_variants(VARIANT_GRID, corpus, [KK], budget,
-                                    store, k_mode=True)
+                                    k_mode=True)
         fixture = json.loads(
             (FIXTURES / "calibration_report_kmode.json").read_text())
         calibration_ok = (report.selected == K_MODE_DEFAULT_VARIANT.name

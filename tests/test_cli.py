@@ -262,6 +262,39 @@ class TestSearch:
             runs.append(out)
         assert runs[0] == runs[1]
 
+    def test_per_factor_worlds_bound_the_witness(self, capsys):
+        code, out, _ = run(capsys, "search", "p1 -> [1]p1",
+                           "--per-factor-worlds", "2,1")
+        assert code == 1
+        factors = json.loads(out)["model"]["factors"]
+        assert [f["worlds"] for f in factors] == [2, 1]
+
+    @pytest.mark.parametrize("bounds, message", [
+        ("2,x", "invalid literal for int()"),
+        ("2,2,2", "per_factor_max arity mismatch"),
+    ])
+    def test_bad_per_factor_worlds_exits_2(self, capsys, bounds, message):
+        code, out, err = run(capsys, "search", "p1 -> [1]p1",
+                             "--per-factor-worlds", bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_text_format_prints_the_summary(self, capsys):
+        code, out, err = run(capsys, "search", "p1 -> [1]p1",
+                             "--max-worlds", "2", "--format", "text")
+        assert code == 1
+        assert out == err == "search: found\n"
+
+    def test_text_format_with_out_writes_the_json(self, capsys, tmp_path):
+        out_path = tmp_path / "search.json"
+        code, out, _ = run(capsys, "search", "p1 -> [1]p1",
+                           "--max-worlds", "2", "--format", "text",
+                           "--out", str(out_path))
+        assert code == 1
+        assert out == "search: found\n"
+        assert json.loads(out_path.read_text())["status"] == "found"
+
 
 class TestTransferExtract:
     def test_transfer_fixture_exits_0(self, capsys, model_file, tmp_path):
@@ -357,6 +390,12 @@ class TestCalibrate:
         assert doc["selected"] == "composite+rung0+shield"
         assert "selected composite+rung0+shield" in err
 
+    def test_k_first_factor_exits_2(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--classes", "T,T;K,T")
+        assert code == 2
+        assert out == ""
+        assert "the first factor must be reflexive" in err
+
     @pytest.mark.parametrize("classes", ["T,T,T", "T,T;T,T,T"])
     def test_three_factors(self, capsys, classes):
         # each formula is read and its contexts built at the arity of each
@@ -389,6 +428,33 @@ class TestSuite:
                            "--max-worlds", "2", "--reduction-worlds", "3")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_comment_and_blank_lines_skipped_after_spaces(self, capsys,
+                                                          tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("  # note\n   \np1\n")
+        code, out, _ = run(capsys, "suite", "--corpus", str(corpus),
+                           "--max-worlds", "2", "--reduction-worlds", "2")
+        assert code == 0
+        assert [row["formula"] for row in json.loads(out)["rows"]] == ["p1"]
+
+    def test_unverified_surgery_exits_3(self, capsys):
+        code, out, err = run(capsys, "suite", "--classes", "T,T",
+                             "--variant", "plain", "--max-worlds", "2",
+                             "--reduction-worlds", "2")
+        assert code == 3
+        assert json.loads(out)["passed"] is False
+        assert "suite FAILED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--classes", "K,K"),
+        ("--reduction-worlds", "0"),
+    ], ids=["k-first-factor", "zero-reduction-worlds"])
+    def test_misuse_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "suite", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBench:

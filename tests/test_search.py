@@ -1,5 +1,6 @@
 """Frame enumeration, countermodel search, calibration, differential suite."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import onevar.search
-from onevar.formulas import FormulaStore, parse
+from onevar.formulas import parse
 from onevar.kripke import Frame1, check_naive, product
 from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS, VALID_CORPUS_TT,
                            FactorClass, NoPassingVariant, SearchBudget,
@@ -17,6 +18,7 @@ from onevar.search import (BLOCK_BITS, CALIBRATION_CORPUS, VALID_CORPUS_TT,
                            differential_suite, enumerate_frames,
                            find_all_countermodels, is_member, random_formula,
                            search_countermodel)
+from onevar.surgery import ExtractionFailed
 from onevar.translation import (DEFAULT_VARIANT, K_MODE_DEFAULT_VARIANT,
                                 VARIANT_GRID, TranslationContext,
                                 VariantConfig)
@@ -423,6 +425,16 @@ class TestSearch:
         assert status == "none-within-bounds"
         assert len(found) == 1
 
+    def test_too_deep_to_recheck_rejected(self, store):
+        # the bitmask pass is iterative but the naive re-check recurses, so
+        # a witness of a 3,000-deep chain cannot be verified and is refused
+        f = store.var(1)
+        for _ in range(3000):
+            f = store.and_(f, store.var(1))
+        with pytest.raises(ValueError, match="nested too deeply for the "
+                                             "naive re-check"):
+            search_countermodel(f, TT, SearchBudget(per_factor_max=(1, 1)))
+
 
 class TestRandomFormula:
     def test_deterministic_and_bounded(self, store):
@@ -438,18 +450,18 @@ class TestRandomFormula:
 
 
 class TestCalibration:
-    def test_default_variant_selected(self, store):
+    def test_default_variant_selected(self):
         budget = SearchBudget(max_worlds_per_factor=3, seed=7)
         report = calibrate_variants(VARIANT_GRID, CALIBRATION_CORPUS,
-                                    [TT, TS5], budget, store)
+                                    [TT, TS5], budget)
         assert report.selected == DEFAULT_VARIANT.name
         assert report.ties == (DEFAULT_VARIANT.name,)
         assert all(p == t for p, t in report.rows[report.selected].values())
 
-    def test_wrong_variants_fail_with_witnesses(self, store):
+    def test_wrong_variants_fail_with_witnesses(self):
         budget = SearchBudget(max_worlds_per_factor=2, seed=7)
         report = calibrate_variants(VARIANT_GRID, ("p1", "p1 -> [1]p1"),
-                                    [TT], budget, store)
+                                    [TT], budget)
         for variant in VARIANT_GRID:
             if variant.name == DEFAULT_VARIANT.name:
                 continue
@@ -457,47 +469,45 @@ class TestCalibration:
             assert not all(p == t for p, t in row.values())
             assert variant.name in report.witnesses
 
-    def test_agreement_failure_witnessed_on_positive_instance(self, store):
+    def test_agreement_failure_witnessed_on_positive_instance(self):
         # an instance whose countermodel forces a true source variable;
         # keeping the first rung unmarked starves the marker, so the lone
         # grid entry fails and the error carries the verdict table
         budget = SearchBudget(max_worlds_per_factor=2, seed=7)
         with pytest.raises(NoPassingVariant) as err:
             calibrate_variants([VariantConfig(mark_first_rung=False)],
-                               ("p1 -> [1]p1",), [TT], budget, store)
+                               ("p1 -> [1]p1",), [TT], budget)
         report = err.value.report
         name = VariantConfig(mark_first_rung=False).name
         assert name in report.witnesses
         row = report.rows[name]
         assert row["marker-agreement"][0] < row["marker-agreement"][1]
 
-    def test_report_json_deterministic(self, store):
+    def test_report_json_deterministic(self):
         budget = SearchBudget(max_worlds_per_factor=2, seed=13)
         docs = []
         for _ in range(2):
-            fresh = FormulaStore()
             report = calibrate_variants(VARIANT_GRID, ("p1", "p1 -> [1]p1"),
-                                        [TT], budget, fresh)
+                                        [TT], budget)
             docs.append(json.dumps(report.to_json(), sort_keys=True))
         assert docs[0] == docs[1]
 
-    def test_k_mode_ties_surfaced(self, store):
+    def test_k_mode_ties_surfaced(self):
         budget = SearchBudget(max_worlds_per_factor=2, seed=7)
         report = calibrate_variants(VARIANT_GRID,
                                     CALIBRATION_CORPUS + ("[1]p1 -> p1",),
-                                    [KK], budget, store, k_mode=True)
+                                    [KK], budget, k_mode=True)
         assert report.selected == K_MODE_DEFAULT_VARIANT.name
         assert set(report.ties) == {"composite+rung0",
                                     "composite+rung0+shield"}
 
 
 class TestDifferentialSuite:
-    def test_both_directions_on_bottom(self, store):
+    def test_both_directions_on_bottom(self):
         report = differential_suite(
             ("F",), TT,
             SearchBudget(max_worlds_per_factor=1),
-            SearchBudget(per_factor_max=(4, 1)),
-            store, DEFAULT_VARIANT)
+            4, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "found"
         assert row.transfer == "verified"
@@ -506,30 +516,28 @@ class TestDifferentialSuite:
         assert row.extraction == "verified"
         assert report.passed
 
-    def test_valid_formula_vacuous(self, store):
+    def test_valid_formula_vacuous(self):
         report = differential_suite(
             ("[1]p1 -> p1",), TT,
             SearchBudget(max_worlds_per_factor=2),
-            SearchBudget(per_factor_max=(2, 1)),
-            store, DEFAULT_VARIANT)
+            2, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "none-within-bounds"
         assert row.transfer == "vacuous"
         assert report.passed
 
-    def test_transfer_exercised_end_to_end(self, store):
+    def test_transfer_exercised_end_to_end(self):
         report = differential_suite(
             ("p1 -> [2]p1",), TT,
             SearchBudget(max_worlds_per_factor=2),
-            SearchBudget(per_factor_max=(2, 1)),
-            store, DEFAULT_VARIANT)
+            2, DEFAULT_VARIANT)
         row = report.rows[0]
         assert row.source_search == "found"
         assert row.transfer == "verified"
         assert row.round_trip == "verified"
         assert report.passed
 
-    def test_shipped_corpus_passes(self, store):
+    def test_shipped_corpus_passes(self):
         # both directions at 100% over the default corpus; the reduction
         # direction sweeps a 4-world first factor, so this is the slowest
         # test in the module
@@ -537,10 +545,78 @@ class TestDifferentialSuite:
         report = differential_suite(
             DEFAULT_SUITE_CORPUS, TT,
             SearchBudget(max_worlds_per_factor=2),
-            SearchBudget(per_factor_max=(4, 1)),
-            store, DEFAULT_VARIANT)
+            4, DEFAULT_VARIANT)
         assert report.passed
         exercised = [r for r in report.rows if r.transfer == "verified"]
         assert len(exercised) >= 5
         extracted = [r for r in report.rows if r.extraction == "verified"]
         assert len(extracted) >= 2
+
+    def test_reduction_budget_widens_the_first_factor_alone(self,
+                                                            monkeypatch):
+        # the reduction is searched with the source budget bounded to
+        # reduction_worlds first-factor worlds and one world elsewhere
+        budgets = []
+        search = onevar.search.search_countermodel
+        monkeypatch.setattr(onevar.search, "search_countermodel",
+                            lambda f, classes, budget:
+                            budgets.append(budget) or search(f, classes,
+                                                             budget))
+        budget = SearchBudget(max_worlds_per_factor=1, max_valuations=7,
+                              seed=5)
+        differential_suite(("F",), TT + (FactorClass.T,), budget, 2,
+                           DEFAULT_VARIANT)
+        assert budgets == [budget, dataclasses.replace(
+            budget, per_factor_max=(2, 1, 1))]
+
+    def test_unverified_transfer_fails_the_suite(self):
+        # the plain reading's transfer does not refute the reduction of F
+        report = differential_suite(("F",), TT,
+                                    SearchBudget(max_worlds_per_factor=2), 3,
+                                    VariantConfig(False, False, False))
+        row = report.rows[0]
+        assert row.source_search == "found"
+        assert row.transfer == "failed"
+        assert row.round_trip == "vacuous"
+        assert report.passed is False
+
+    def test_unverified_extraction_fails_the_suite(self, monkeypatch):
+        def refuse(*args):
+            raise ExtractionFailed("refused")
+        monkeypatch.setattr(onevar.search, "extract_countermodel", refuse)
+        report = differential_suite(("F",), TT,
+                                    SearchBudget(max_worlds_per_factor=1), 4,
+                                    DEFAULT_VARIANT)
+        row = report.rows[0]
+        assert row.transfer == "verified"
+        assert row.round_trip == "failed"
+        assert row.reduction_search == "found"
+        assert row.extraction == "failed"
+        assert report.passed is False
+
+    def test_k_mode_takes_a_k_first_factor(self):
+        report = differential_suite(("F",), KK,
+                                    SearchBudget(max_worlds_per_factor=1), 2,
+                                    K_MODE_DEFAULT_VARIANT, k_mode=True)
+        assert report.passed
+
+
+class TestReflexiveFirstFactor:
+    # outside K-mode the gadgets need a reflexive first factor, so both
+    # drivers reject a class tuple that starts with K before any search
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("searched")
+        monkeypatch.setattr(onevar.search, "search_countermodel", search)
+
+    def test_suite(self):
+        with pytest.raises(ValueError, match="must be reflexive"):
+            differential_suite(("F",), KK, SearchBudget(), 4,
+                               DEFAULT_VARIANT)
+
+    def test_calibration(self):
+        with pytest.raises(ValueError, match="must be reflexive"):
+            calibrate_variants(VARIANT_GRID, ("F",),
+                               [TT, (FactorClass.K, FactorClass.T)],
+                               SearchBudget())

@@ -74,6 +74,32 @@ def test_naive_oracle_reads_the_factors():
     assert found == []
 
 
+def _reads_a_check(node) -> bool:
+    """A surgery result's ``checks`` read by key, with ``.get`` or through
+    ``.values()``."""
+    if isinstance(node, ast.Subscript):
+        value = node.value
+    elif isinstance(node, ast.Attribute) and node.attr in ("get", "values"):
+        value = node.value
+    else:
+        return False
+    return isinstance(value, ast.Attribute) and value.attr == "checks"
+
+
+def test_surgery_verdicts_decided_in_surgery():
+    # a surgery result's ``verified`` is the one verdict rule; a driver that
+    # read the checks itself would hold a second copy of it (``str(checks)``
+    # in witness text is fine)
+    found = []
+    for path in sorted((ROOT / "src" / "onevar").glob("*.py")):
+        if path.name == "surgery.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _reads_a_check(node)]
+    assert found == []
+
+
 # module -> names it imports only for perfbench/tracer.py to patch
 TRACER_BINDINGS = {"search.py": {"sat_set"}, "surgery.py": {"sat_set"}}
 
